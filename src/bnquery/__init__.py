@@ -10,7 +10,7 @@ brute-force enumeration oracle is included for cross-checking.
 from importlib.resources import files as _files
 
 from .cliquetree import Clique, CliqueTree, compile_network, order_cliques
-from .engine import CacheEntry, Query, QueryEngine, TraceEvent
+from .engine import Query, QueryEngine, TraceEvent
 from .errors import (
     BadStateError,
     CompilationError,

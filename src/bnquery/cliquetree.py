@@ -12,6 +12,7 @@ to a forest with one root (empty separator) per component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import CompilationError
@@ -36,7 +37,7 @@ class Clique:
     residual: tuple[str, ...]
     parent: int | None
 
-    @property
+    @cached_property  # kept outside the fields, so equality stays field-based
     def member_set(self) -> frozenset[str]:
         return frozenset(self.members)
 

@@ -9,15 +9,15 @@ residual conditional before the unwanted residual variables are summed
 away.  Every per-clique answer is cached under (clique, target set), so
 repeated and overlapping queries reuse earlier work.
 
-Evidence is incorporated by substitution: observing a variable slices its
-dimension out of every stored and cached table that carries it.  The one
-clique that owns the variable in its residual is left unnormalized by the
-slice, so its residual conditional is renormalized and the extracted
-separator likelihood is multiplied up the ancestor chain into the
-component root, which therefore accumulates the evidence mass.  With that
-done, child answers stay properly normalized, pruning target-free
-children remains sound under any evidence placement, and a root's stored
-table totals exactly P(evidence) for its component.  Joint queries hence
+Observing and retracting a finding run the same refresh.  The pristine
+potentials of the cliques that hold the variable are sliced again by the
+current evidence, and ``preprocess.collect_step`` is rerun over those
+cliques and their ancestors, children first.  Every non-root table thus
+stays a proper residual conditional given the evidence below it, and a
+root keeps the unnormalized product, which totals P(evidence) for its
+component.  A clique with no evidence left in its subtree takes back its
+preprocessed tables.  Only cache entries keyed on a refreshed clique are
+dropped; the others depend on no table that changed.  Joint queries hence
 return unnormalized P(targets, evidence); conditional queries divide it
 back out.
 
@@ -43,7 +43,7 @@ from .factors import (
     sum_out,
 )
 from .network import BayesianNetwork
-from .preprocess import Preprocessed, preprocess
+from .preprocess import Preprocessed, collect_step, preprocess
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,6 @@ class Query:
     targets: tuple[str, ...]
     given: tuple[str, ...] = ()
     transient_evidence: tuple[tuple[str, int], ...] = ()
-
-
-@dataclass
-class CacheEntry:
-    targets: frozenset[str]
-    answer: Factor
-    evidence_version: int
 
 
 @dataclass(frozen=True)
@@ -96,18 +89,13 @@ class QueryEngine:
         self._prune_children = prune_children
 
         # live tables start as references to the pristine preprocessed ones
-        self._conditional: dict[int, Factor] = {
-            cid: st.conditional for cid, st in self.prep.states.items()
-        }
-        self._marginal: dict[int, Factor] = {
-            cid: st.marginal for cid, st in self.prep.states.items()
-        }
+        states = self.prep.states
+        self._potential = {cid: st.potential for cid, st in states.items()}
+        self._conditional = {cid: st.conditional for cid, st in states.items()}
+        self._message = {cid: st.message for cid, st in states.items()}
 
         self._evidence: dict[str, int] = {}
-        self._applied_order: list[str] = []
-        self.evidence_version = 0
-
-        self._cache: dict[tuple[int, frozenset[str]], CacheEntry] = {}
+        self._cache: dict[tuple[int, frozenset[str]], Factor] = {}
         self._memo: dict[frozenset[str], Factor] = {}
         self._counters = OpCounters()
 
@@ -119,9 +107,6 @@ class QueryEngine:
 
     def stored_conditional(self, cid: int) -> Factor:
         return self._conditional[cid]
-
-    def stored_marginal(self, cid: int) -> Factor:
-        return self._marginal[cid]
 
     def op_counters(self) -> OpCounters:
         return self._counters.snapshot()
@@ -214,13 +199,13 @@ class QueryEngine:
         for root in self.tree.roots:
             component = self.tree.subtree[root]
             if any(v in component for v in self._evidence):
-                mass *= self._resolve(root, (), None).total()
+                mass *= self._message[root].total()
         return mass
 
     # -- evidence -----------------------------------------------------------
 
     def observe(self, name: str, state: int) -> None:
-        """Assert name=state and fold it into every stored table.
+        """Assert name=state and fold it into the tables it touches.
 
         Re-observing the same state is a no-op; a different state is an
         error (retract first).
@@ -239,61 +224,44 @@ class QueryEngine:
                 f"{self._evidence[name]}; retract it before re-observing"
             )
         self._evidence[name] = state
-        self._applied_order.append(name)
-        self._apply_evidence(name, state)
-        self.evidence_version += 1
-        self._memo.clear()
+        self._refresh(name)
 
     def retract(self, name: str) -> None:
-        """Withdraw an observation: restore pristine tables, replay the rest."""
+        """Withdraw an observation from the tables it touched."""
         if name not in self._evidence:
             raise EvidenceError(f"{name!r} is not observed")
         del self._evidence[name]
-        self._applied_order.remove(name)
-        for cid, st in self.prep.states.items():
-            self._conditional[cid] = st.conditional
-            self._marginal[cid] = st.marginal
-        self._cache.clear()
-        self._memo.clear()
-        for other in self._applied_order:
-            self._apply_evidence(other, self._evidence[other])
-        self.evidence_version += 1
+        self._refresh(name)
 
-    def _apply_evidence(self, name: str, state: int) -> None:
-        tree = self.tree
+    def _refresh(self, name: str) -> None:
+        """Rerun the collect step where a finding on ``name`` changed an input."""
+        tree, states, evidence = self.tree, self.prep.states, self._evidence
         for cid in tree.containing[name]:
-            cond = self._conditional[cid]
-            if name in cond.names:
-                self._conditional[cid] = substitute(cond, name, state, self._counters)
-            marg = self._marginal[cid]
-            if name in marg.names:
-                self._marginal[cid] = substitute(marg, name, state, self._counters)
+            potential = states[cid].potential
+            for v in tree.cliques[cid].members:
+                if v in evidence:
+                    potential = substitute(potential, v, evidence[v], self._counters)
+            self._potential[cid] = potential
 
-        owner = tree.owner[name]
-        stale = {owner, *tree.ancestors(owner)}
-        for key in list(self._cache):
-            cid, tg = key
-            entry = self._cache[key]
-            if cid in stale or name in tg:
-                del self._cache[key]
-            elif name in entry.answer.names:
-                entry.answer = substitute(entry.answer, name, state, self._counters)
+        touched = {*tree.containing[name], *tree.ancestors(tree.owner[name])}
+        for cid in sorted(touched, reverse=True):
+            st = states[cid]
+            children = tree.children[cid]
+            product = self._potential[cid]
+            if product is st.potential and all(
+                self._message[ch] is states[ch].message for ch in children
+            ):
+                self._conditional[cid], self._message[cid] = st.conditional, st.message
+                continue
+            for ch in children:  # ascending rank, as in preprocessing
+                product = multiply(product, self._message[ch], self._counters)
+            clique = tree.cliques[cid]
+            cond, self._message[cid] = collect_step(clique, product, self._counters)
+            # a root keeps the product, whose total is P(evidence) for its component
+            self._conditional[cid] = product if clique.parent is None else cond
 
-        # The slice leaves the owner's residual conditional carrying the
-        # likelihood of the observation; peel it off and push it rootward so
-        # every non-root table stays a proper conditional and the component
-        # root accumulates the evidence mass.
-        cid = owner
-        while tree.cliques[cid].parent is not None:
-            cond = self._conditional[cid]
-            live_residual = [r for r in tree.cliques[cid].residual if r in cond.names]
-            likelihood = sum_out(cond, live_residual, self._counters)
-            self._conditional[cid] = normalize_conditional(cond, live_residual)
-            parent = tree.cliques[cid].parent
-            self._conditional[parent] = multiply(
-                self._conditional[parent], likelihood, self._counters
-            )
-            cid = parent
+        self._cache = {k: f for k, f in self._cache.items() if k[0] not in touched}
+        self._memo.clear()
 
     # -- recursion ----------------------------------------------------------
 
@@ -308,13 +276,14 @@ class QueryEngine:
                 trace.append(
                     TraceEvent(cid, targets, clique.separator, (), "cache")
                 )
-            return self._cache[key].answer
+            return self._cache[key]
         if self.cache_enabled:
             self._counters.cache_misses += 1
 
         members = clique.member_set
         residual = set(clique.residual)
-        in_separator = [t for t in targets if t in set(clique.separator)]
+        separator = set(clique.separator)
+        in_separator = [t for t in targets if t in separator]
         if in_separator:
             raise QueryError(
                 f"routing bug: targets {in_separator} lie in the separator "
@@ -346,11 +315,7 @@ class QueryEngine:
         answer = sum_out(product, sum_away, self._counters) if sum_away else product
 
         if self.cache_enabled:
-            self._cache[key] = CacheEntry(
-                targets=frozenset(targets),
-                answer=answer,
-                evidence_version=self.evidence_version,
-            )
+            self._cache[key] = answer
         return answer
 
     # -- validation ---------------------------------------------------------

@@ -1,11 +1,12 @@
 """Per-clique distributions computed ahead of any query.
 
 Each clique is charged with the CPTs of the variables whose family it is
-the lowest-ranked clique to contain.  The collect pass (decreasing rank)
-turns each clique's CPT product into the conditional of its residual given
-its separator, forwarding the summed-out separator table to the parent;
-the distribute pass (increasing rank) then forms every clique's joint
-marginal.  All multiplication orders are fixed (CPTs by variable name,
+the lowest-ranked clique to contain.  The collect pass runs
+``collect_step`` in decreasing rank: a clique's potential times its
+children's messages splits into the conditional of its residual given its
+separator and the message (that product summed over the residual) for its
+parent.  The query engine reruns the same step over the cliques a finding
+touches.  All multiplication orders are fixed (CPTs by variable name,
 child messages by child rank) so repeated runs are bit-identical.
 """
 
@@ -13,8 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cliquetree import CliqueTree
-from .factors import Factor, multiply, normalize_conditional, ones_factor, sum_out
+from .cliquetree import Clique, CliqueTree
+from .factors import (
+    Factor,
+    OpCounters,
+    multiply,
+    normalize_conditional,
+    ones_factor,
+    sum_out,
+)
 from .network import BayesianNetwork
 
 
@@ -22,15 +30,17 @@ from .network import BayesianNetwork
 class CliqueState:
     """Stored tables for one clique.
 
-    ``conditional`` holds P(residual | separator), ``marginal`` holds the
-    clique joint P(members).  ``potential`` is the raw product of assigned
-    CPTs, kept for diagnostics and invariant checks.
+    ``potential`` is the product of assigned CPTs, ``conditional`` holds
+    P(residual | separator), and ``message`` is what the collect pass sent
+    to the parent (for a root, the component mass as an empty-scope table).
+    The engine slices ``potential`` by evidence and reuses the other two
+    while no evidence lies in the clique's subtree.
     """
 
     clique_id: int
     potential: Factor
     conditional: Factor
-    marginal: Factor
+    message: Factor
     assigned: tuple[str, ...]
 
 
@@ -46,53 +56,70 @@ def assign_cpts(bn: BayesianNetwork, tree: CliqueTree) -> dict[str, int]:
     assignment: dict[str, int] = {}
     for name in bn.names:
         family = set(bn.family(name))
-        for c in tree.cliques:
-            if family <= c.member_set:
-                assignment[name] = c.id
+        for cid in tree.containing[name]:  # ascending rank
+            if family <= tree.cliques[cid].member_set:
+                assignment[name] = cid
                 break
         else:  # compile_network guarantees containment
             raise AssertionError(f"no clique contains the family of {name!r}")
     return assignment
 
 
+def _assigned_by_clique(
+    tree: CliqueTree, assignment: dict[str, int]
+) -> dict[int, tuple[str, ...]]:
+    """The names assigned to each clique, sorted."""
+    groups: dict[int, tuple[str, ...]] = {c.id: () for c in tree.cliques}
+    for name in sorted(assignment):
+        groups[assignment[name]] += (name,)
+    return groups
+
+
 def compute_potentials(
     bn: BayesianNetwork, tree: CliqueTree, assignment: dict[str, int]
 ) -> dict[int, Factor]:
     """Product of assigned CPTs per clique, extended to the full member scope."""
+    assigned = _assigned_by_clique(tree, assignment)
     potentials: dict[int, Factor] = {}
     for c in tree.cliques:
         pot = ones_factor(tuple(bn.var(n) for n in c.members))
-        for name in sorted(n for n, cid in assignment.items() if cid == c.id):
+        for name in assigned[c.id]:
             pot = multiply(pot, bn.cpt(name))
         potentials[c.id] = pot
     return potentials
 
 
+def collect_step(
+    clique: Clique, product: Factor, counters: OpCounters | None = None
+) -> tuple[Factor, Factor]:
+    """Split a clique's potential times its children's messages.
+
+    Returns P(residual | separator), the product normalized over the
+    residual variables still in its scope, and the message for the parent,
+    the product summed over them.
+    """
+    residual = [r for r in clique.residual if r in product.names]
+    conditional = normalize_conditional(product, residual)
+    return conditional, sum_out(product, residual, counters)
+
+
 def collect_conditionals(
     tree: CliqueTree, potentials: dict[int, Factor]
-) -> tuple[dict[int, Factor], dict[int, float]]:
+) -> tuple[dict[int, Factor], dict[int, Factor]]:
     """Decreasing-rank pass producing P(residual | separator) per clique.
 
-    Each clique's potential, with its children's separator messages folded
-    in, is normalized over the residual; the message (the pre-normalization
-    table summed over the residual) goes to the parent.  A root's message
-    has empty scope and becomes that component's normalization mass, which
+    Returns the conditionals and every clique's message.  A root's message
+    has empty scope and holds that component's normalization mass, which
     is 1 up to rounding for a valid network.
     """
-    messages: dict[int, Factor] = {}
     conditionals: dict[int, Factor] = {}
-    root_mass: dict[int, float] = {}
+    messages: dict[int, Factor] = {}
     for c in reversed(tree.cliques):
-        pot = potentials[c.id]
+        product = potentials[c.id]
         for ch in tree.children[c.id]:  # ascending rank
-            pot = multiply(pot, messages[ch])
-        lam = sum_out(pot, c.residual)
-        conditionals[c.id] = normalize_conditional(pot, c.residual)
-        if c.parent is None:
-            root_mass[c.id] = lam.total()
-        else:
-            messages[c.id] = lam
-    return conditionals, root_mass
+            product = multiply(product, messages[ch])
+        conditionals[c.id], messages[c.id] = collect_step(c, product)
+    return conditionals, messages
 
 
 def distribute_marginals(
@@ -126,16 +153,17 @@ def node_marginals(
 def preprocess(bn: BayesianNetwork, tree: CliqueTree) -> Preprocessed:
     assignment = assign_cpts(bn, tree)
     potentials = compute_potentials(bn, tree, assignment)
-    conditionals, root_mass = collect_conditionals(tree, potentials)
-    marginals = distribute_marginals(tree, conditionals)
+    conditionals, messages = collect_conditionals(tree, potentials)
+    assigned = _assigned_by_clique(tree, assignment)
     states = {
         c.id: CliqueState(
             clique_id=c.id,
             potential=potentials[c.id],
             conditional=conditionals[c.id],
-            marginal=marginals[c.id],
-            assigned=tuple(sorted(n for n, cid in assignment.items() if cid == c.id)),
+            message=messages[c.id],
+            assigned=assigned[c.id],
         )
         for c in tree.cliques
     }
+    root_mass = {cid: messages[cid].total() for cid in tree.roots}
     return Preprocessed(states=states, root_mass=root_mass, assignment=assignment)

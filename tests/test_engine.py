@@ -16,7 +16,7 @@ from bnquery import (
     normalize_conditional,
     oracle_query,
 )
-from corpus import random_network
+from corpus import chain_network, random_network
 
 
 def engine_for(seed, n=8, **kwargs):
@@ -97,7 +97,7 @@ def _compare_on_possible_contexts(engine, asia_joint, members, targets, given):
     cid = next(c.id for c in engine.tree.cliques if c.member_set == members)
     entry = engine._cache[(cid, frozenset(targets))]
     want = oracle_query(asia_joint, sorted(targets), sorted(given))
-    got = bnquery.reorder_scope(entry.answer, want.names)
+    got = bnquery.reorder_scope(entry, want.names)
     context = bnquery.sum_out(asia_joint, set(asia_joint.names) - set(given))
     context = bnquery.reorder_scope(
         context, [n for n in want.names if n in set(given)]
@@ -364,6 +364,59 @@ def test_retract_one_of_two_matches_fresh_engine():
         engine.query_joint(targets), fresh.query_joint(targets)
     ) == 0.0
 
+    # seeded observe/retract interleavings leave exactly the tables a fresh
+    # engine builds from the final evidence, whatever the history
+    for seed in (92, 93, 94):
+        bn, engine = engine_for(seed, n=9)
+        rng = np.random.default_rng(seed)
+        names = list(bn.names)
+        for _ in range(16):
+            name = names[int(rng.integers(len(names)))]
+            if name in engine.evidence:
+                engine.retract(name)
+            else:
+                engine.observe(name, int(rng.integers(bn.var(name).cardinality)))
+        fresh = QueryEngine(bn)
+        for name in sorted(engine.evidence, reverse=True):
+            fresh.observe(name, engine.evidence[name])
+        for cid in engine.prep.states:
+            assert np.array_equal(
+                engine.stored_conditional(cid).values,
+                fresh.stored_conditional(cid).values,
+            )
+        for name in list(engine.evidence):
+            engine.retract(name)
+        for cid, st in engine.prep.states.items():
+            assert engine.stored_conditional(cid) is st.conditional
+
+
+def test_retract_cost_does_not_grow_with_other_findings():
+    # a retraction reruns the collect step over the cliques its variable
+    # touches; it does not replay the findings still held
+    bn = chain_network(40, seed=3)
+    x = "N20"
+
+    def retract_cost(held):
+        engine = QueryEngine(bn)
+        for name in held:
+            engine.observe(name, 1)
+        engine.observe(x, 0)
+        before = engine.op_counters()
+        engine.retract(x)
+        after = engine.op_counters()
+        return (
+            after.multiplications - before.multiplications,
+            after.substitutions - before.substitutions,
+        )
+
+    below = "N39"  # keeps x's ancestors from taking back their pristine tables
+    tree = QueryEngine(bn).tree
+    assert below in tree.subtree[tree.owner[x]]
+    others = ["N02", "N05", "N08", "N11", "N14", "N26", "N29", "N32", "N35"]
+    one, ten = retract_cost([below]), retract_cost([below, *others])
+    assert one[0] > 0
+    assert ten[0] <= one[0] and ten[1] <= one[1]
+
 
 def test_retract_without_evidence_errors(asia_engine):
     with pytest.raises(EvidenceError):
@@ -446,6 +499,12 @@ def test_cached_answers_survive_unrelated_evidence(asia_engine):
     ex = next(
         c.id for c in asia_engine.tree.cliques if c.member_set == frozenset("EX")
     )
+    assert (ex, frozenset({"X"})) in asia_engine._cache
+    # retracting A, and a query with transient evidence on A, refresh only
+    # the root's tables, so the entry below it survives both
+    asia_engine.retract("A")
+    assert (ex, frozenset({"X"})) in asia_engine._cache
+    asia_engine.query_conditional(["T"], transient_evidence=[("A", 0)])
     assert (ex, frozenset({"X"})) in asia_engine._cache
 
 

@@ -8,6 +8,7 @@ from bnquery import (
     assign_cpts,
     compile_network,
     compute_potentials,
+    distribute_marginals,
     enumerate_joint,
     max_deviation,
     multiply,
@@ -25,6 +26,11 @@ def build(seed, n=5):
     bn = random_network(rng, n)
     tree = compile_network(bn)
     return bn, tree
+
+
+def clique_marginals(tree, prep):
+    conditionals = {cid: st.conditional for cid, st in prep.states.items()}
+    return distribute_marginals(tree, conditionals)
 
 
 # -- CPT assignment ---------------------------------------------------------
@@ -152,21 +158,22 @@ def test_root_marginal_is_root_family_product(asia_bn):
     tree = compile_network(asia_bn, bnquery.ASIA_GOLDEN_ORDER)
     prep = preprocess(asia_bn, tree)
     expected = multiply(asia_bn.cpt("A"), asia_bn.cpt("T"))
-    assert max_deviation(prep.states[0].marginal, expected) <= 1e-12
+    assert max_deviation(clique_marginals(tree, prep)[0], expected) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_marginals_match_oracle_and_agree_across_cliques(seed):
     bn, tree = build(seed, n=6)
     prep = preprocess(bn, tree)
+    marginals = clique_marginals(tree, prep)
     joint = enumerate_joint(bn)
     for c in tree.cliques:
         expected = sum_out(joint, set(bn.names) - c.member_set)
-        assert max_deviation(prep.states[c.id].marginal, expected) <= 1e-9
+        assert max_deviation(marginals[c.id], expected) <= 1e-9
     for name in bn.names:
         per_clique = []
         for cid in tree.containing[name]:
-            m = prep.states[cid].marginal
+            m = marginals[cid]
             per_clique.append(
                 sum_out(m, set(m.names) - {name}).values
             )
@@ -177,11 +184,12 @@ def test_marginals_match_oracle_and_agree_across_cliques(seed):
 def test_separator_consistency():
     bn, tree = build(7, n=7)
     prep = preprocess(bn, tree)
+    marginals = clique_marginals(tree, prep)
     for c in tree.cliques:
         if c.parent is None:
             continue
-        child = prep.states[c.id].marginal
-        parent = prep.states[c.parent].marginal
+        child = marginals[c.id]
+        parent = marginals[c.parent]
         sep = set(c.separator)
         down_child = sum_out(child, set(child.names) - sep)
         down_parent = sum_out(parent, set(parent.names) - sep)
@@ -203,7 +211,7 @@ def test_deterministic_network_gives_point_masses():
     )
     tree = compile_network(bn)
     prep = preprocess(bn, tree)
-    marginals = node_marginals(bn, tree, {c: prep.states[c].marginal for c in prep.states})
+    marginals = node_marginals(bn, tree, clique_marginals(tree, prep))
     assert list(marginals["a"].flat) == [1.0, 0.0]
     assert list(marginals["b"].flat) == [0.0, 1.0]
 
@@ -220,7 +228,7 @@ def test_uniform_independent_bits():
     )
     tree = compile_network(bn)
     prep = preprocess(bn, tree)
-    marginals = node_marginals(bn, tree, {c: prep.states[c].marginal for c in prep.states})
+    marginals = node_marginals(bn, tree, clique_marginals(tree, prep))
     for name in "ab":
         assert list(marginals[name].flat) == [0.5, 0.5]
 
@@ -228,7 +236,7 @@ def test_uniform_independent_bits():
 def test_node_marginals_match_oracle_eight_vars():
     bn, tree = build(99, n=8)
     prep = preprocess(bn, tree)
-    marginals = node_marginals(bn, tree, {c: prep.states[c].marginal for c in prep.states})
+    marginals = node_marginals(bn, tree, clique_marginals(tree, prep))
     joint = enumerate_joint(bn)
     for name in bn.names:
         expected = sum_out(joint, set(bn.names) - {name})
@@ -254,13 +262,16 @@ def test_joint_factorization(seed):
 
 def test_preprocess_is_bit_deterministic():
     bn, tree = build(21, n=7)
+    tree2 = compile_network(bn)
     p1 = preprocess(bn, tree)
-    p2 = preprocess(bn, compile_network(bn))
+    p2 = preprocess(bn, tree2)
+    m1 = clique_marginals(tree, p1)
+    m2 = clique_marginals(tree2, p2)
     for cid in p1.states:
         assert np.array_equal(
             p1.states[cid].conditional.values, p2.states[cid].conditional.values
         )
         assert np.array_equal(
-            p1.states[cid].marginal.values, p2.states[cid].marginal.values
+            m1[cid].values, m2[cid].values
         )
     assert p1.root_mass == p2.root_mass

@@ -55,10 +55,13 @@ class CliqueTree:
         self.fill_edges = fill_edges
         self.elimination_order = elimination_order
 
-        self.children: dict[int, tuple[int, ...]] = {c.id: () for c in self.cliques}
+        children: dict[int, list[int]] = {c.id: [] for c in self.cliques}
         for c in self.cliques:
             if c.parent is not None:
-                self.children[c.parent] = self.children[c.parent] + (c.id,)
+                children[c.parent].append(c.id)
+        self.children: dict[int, tuple[int, ...]] = {
+            cid: tuple(ids) for cid, ids in children.items()
+        }
 
         self.subtree: dict[int, frozenset[str]] = {}
         for c in reversed(self.cliques):
@@ -71,18 +74,20 @@ class CliqueTree:
             c.id for c in self.cliques if c.parent is None
         )
 
-        self.containing: dict[str, tuple[int, ...]] = {}
+        containing: dict[str, list[int]] = {}
         self.owner: dict[str, int] = {}
         for c in self.cliques:
             for name in c.members:
-                self.containing.setdefault(name, ())
-                self.containing[name] += (c.id,)
+                containing.setdefault(name, []).append(c.id)
             for name in c.residual:
                 if name in self.owner:
                     raise CompilationError(
                         f"variable {name!r} is in two residuals; tree is inconsistent"
                     )
                 self.owner[name] = c.id
+        self.containing: dict[str, tuple[int, ...]] = {
+            name: tuple(ids) for name, ids in containing.items()
+        }
 
     def clique(self, cid: int) -> Clique:
         return self.cliques[cid]
@@ -196,7 +201,9 @@ def _check_tree(bn: BayesianNetwork, tree: CliqueTree) -> None:
         raise CompilationError(f"variables {sorted(missing)} appear in no clique")
     for name in bn.names:
         family = set(bn.family(name))
-        if not any(family <= c.member_set for c in tree.cliques):
+        if not any(
+            family <= tree.cliques[cid].member_set for cid in tree.containing[name]
+        ):
             raise CompilationError(
                 f"family of {name!r} ({sorted(family)}) is contained in no clique"
             )

@@ -37,18 +37,15 @@ class CliqueState:
     while no evidence lies in the clique's subtree.
     """
 
-    clique_id: int
     potential: Factor
     conditional: Factor
     message: Factor
-    assigned: tuple[str, ...]
 
 
 @dataclass
 class Preprocessed:
     states: dict[int, CliqueState]
     root_mass: dict[int, float]
-    assignment: dict[str, int]
 
 
 def assign_cpts(bn: BayesianNetwork, tree: CliqueTree) -> dict[str, int]:
@@ -151,19 +148,15 @@ def node_marginals(
 
 
 def preprocess(bn: BayesianNetwork, tree: CliqueTree) -> Preprocessed:
-    assignment = assign_cpts(bn, tree)
-    potentials = compute_potentials(bn, tree, assignment)
+    potentials = compute_potentials(bn, tree, assign_cpts(bn, tree))
     conditionals, messages = collect_conditionals(tree, potentials)
-    assigned = _assigned_by_clique(tree, assignment)
     states = {
         c.id: CliqueState(
-            clique_id=c.id,
             potential=potentials[c.id],
             conditional=conditionals[c.id],
             message=messages[c.id],
-            assigned=assigned[c.id],
         )
         for c in tree.cliques
     }
     root_mass = {cid: messages[cid].total() for cid in tree.roots}
-    return Preprocessed(states=states, root_mass=root_mass, assignment=assignment)
+    return Preprocessed(states=states, root_mass=root_mass)

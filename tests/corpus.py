@@ -76,3 +76,44 @@ def random_query(rng, bn, observed=()):
     n_evidence = int(rng.integers(0, min(2, len(rest)) + 1))
     evidence = {name: int(rng.integers(0, 2)) for name in rest[:n_evidence]}
     return tuple(targets), tuple(given), evidence
+
+
+def structure_network(parents):
+    """Binary network with uniform CPTs over a ``{name: parents}`` map.
+
+    Declaration order is the map's order.  Only the structure matters to
+    the compile stages, so the tables carry no information.
+    """
+    variables = {n: Variable(n, ("0", "1")) for n in parents}
+    cpts = {}
+    for name, ps in parents.items():
+        scope = [variables[p] for p in ps] + [variables[name]]
+        cpts[name] = Factor(scope, np.full([2] * len(scope), 0.5))
+    return BayesianNetwork(list(variables.values()), parents, cpts)
+
+
+def windowed_parents(n_vars, window=6, max_parents=3, seed=0):
+    """W0000..: each variable takes 0-3 parents among the `window` before it."""
+    rng = np.random.default_rng(seed)
+    names = [f"W{i:04d}" for i in range(n_vars)]
+    parents = {}
+    for i, name in enumerate(names):
+        pool = names[max(0, i - window):i]
+        k = min(len(pool), int(rng.integers(0, max_parents + 1)))
+        picks = sorted(rng.choice(len(pool), size=k, replace=False)) if k else []
+        parents[name] = tuple(pool[j] for j in picks)
+    return parents
+
+
+def star_parents(leaves):
+    """Naive Bayes: class C with leaves L0000.. whose only parent is C."""
+    parents = {"C": ()}
+    for i in range(leaves):
+        parents[f"L{i:04d}"] = ("C",)
+    return parents
+
+
+def chain_parents(n_vars):
+    """N0000 -> N0001 -> ... -> N{n-1}."""
+    names = [f"N{i:04d}" for i in range(n_vars)]
+    return {name: (names[i - 1],) if i else () for i, name in enumerate(names)}

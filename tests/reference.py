@@ -1,8 +1,11 @@
-"""Independent reference arithmetic for checking the factor primitives.
+"""Independent references for checking the factor primitives and compile stages.
 
-Everything here works on plain dicts keyed by full assignments, looked up
-cell by cell, so it shares no indexing or broadcasting machinery with the
-array implementation it is used to check.
+The factor references work on plain dicts keyed by full assignments,
+looked up cell by cell, so they share no indexing or broadcasting
+machinery with the array implementation they check.  The compile-stage
+references are the direct quadratic algorithms: min-fill that re-scores
+every remaining vertex at every step, maximum-cardinality search that
+scans every vertex, and clique harvesting by pairwise subset tests.
 """
 
 from itertools import product
@@ -79,3 +82,70 @@ def factor_matches(factor, scope, table, tol=0.0):
         if abs(got - expected) > tol:
             return False, a, expected, got
     return True, None, None, None
+
+
+# -- compile stages -----------------------------------------------------------
+
+
+def _ref_fill_cost(adj, v):
+    nbrs = sorted(adj[v])
+    cost = 0
+    for i in range(len(nbrs)):
+        for j in range(i + 1, len(nbrs)):
+            if nbrs[j] not in adj[nbrs[i]]:
+                cost += 1
+    return cost
+
+
+def ref_min_fill_order(g):
+    """Eliminate the remaining vertex of least (fill cost, name), re-scoring all."""
+    adj = {v: g.neighbors(v) for v in g.vertices}
+    order = []
+    remaining = sorted(adj)
+    while remaining:
+        best = min(remaining, key=lambda v: (_ref_fill_cost(adj, v), v))
+        order.append(best)
+        nbrs = sorted(adj[best])
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adj[nbrs[i]].add(nbrs[j])
+                adj[nbrs[j]].add(nbrs[i])
+        for n in nbrs:
+            adj[n].discard(best)
+        del adj[best]
+        remaining.remove(best)
+    return tuple(order)
+
+
+def ref_find_cliques(g, order):
+    """Elimination cliques with every candidate inside another dropped."""
+    adj = {v: g.neighbors(v) for v in g.vertices}
+    candidates = []
+    for v in order:
+        candidates.append(frozenset(adj[v]) | {v})
+        for n in adj[v]:
+            adj[n].discard(v)
+        del adj[v]
+    cliques = []
+    for c in candidates:
+        if any(c <= other for other in candidates if other is not c and c != other):
+            continue
+        if c not in cliques:
+            cliques.append(c)
+    return tuple(cliques)
+
+
+def ref_mcs_numbering(g, priority):
+    """Number the vertex with the most numbered neighbours, scanning them all."""
+    numbered = {}
+    counts = {v: 0 for v in g.vertices}
+    while len(numbered) < len(g.vertices):
+        best = min(
+            (v for v in g.vertices if v not in numbered),
+            key=lambda v: (-counts[v], priority[v]),
+        )
+        numbered[best] = len(numbered) + 1
+        for n in g.neighbors(best):
+            if n not in numbered:
+                counts[n] += 1
+    return numbered

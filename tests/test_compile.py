@@ -1,9 +1,14 @@
 """Moralization, elimination, triangulation, and clique-tree assembly."""
 
+import hashlib
+import time
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnquery
 from bnquery import (
@@ -11,11 +16,19 @@ from bnquery import (
     UndirectedGraph,
     compile_network,
     find_cliques,
+    mcs_numbering,
     min_fill_order,
     moralize,
     triangulate,
 )
-from corpus import random_network
+from corpus import (
+    chain_parents,
+    random_network,
+    star_parents,
+    structure_network,
+    windowed_parents,
+)
+from reference import ref_find_cliques, ref_mcs_numbering, ref_min_fill_order
 
 
 def graph_of(vertices, edges):
@@ -312,3 +325,150 @@ def test_disconnected_network_compiles_to_forest():
     assert len(tree.roots) == 2
     components = {frozenset(tree.subtree[r]) for r in tree.roots}
     assert components == {frozenset("ab"), frozenset("cd")}
+
+
+# -- equivalence with the quadratic reference algorithms --------------------------
+#
+# Names are permuted before insertion, so declaration order, name order and
+# the numeric suffix all disagree and every tie-break is exercised.
+
+
+@st.composite
+def vertex_names(draw, min_size=1, max_size=12):
+    n = draw(st.integers(min_size, max_size))
+    return draw(st.permutations([f"v{i}" for i in range(n)]))
+
+
+@st.composite
+def random_graphs(draw):
+    names = draw(vertex_names())
+    pairs = list(combinations(names, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph_of(names, edges)
+
+
+@st.composite
+def star_graphs(draw):
+    names = draw(vertex_names(max_size=16))
+    hub = draw(st.sampled_from(names))
+    return graph_of(names, [(hub, leaf) for leaf in names if leaf != hub])
+
+
+@st.composite
+def complete_graphs(draw):
+    names = draw(vertex_names(max_size=8))
+    return graph_of(names, combinations(names, 2))
+
+
+@st.composite
+def disconnected_graphs(draw):
+    names = draw(vertex_names(min_size=2))
+    part = {v: draw(st.integers(0, 2)) for v in names}
+    pairs = [(a, b) for a, b in combinations(names, 2) if part[a] == part[b]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph_of(names, edges)
+
+
+@st.composite
+def tied_graphs(draw):
+    """Disjoint equal cycles or a grid: many vertices share every fill cost."""
+    if draw(st.booleans()):
+        length, copies = draw(st.integers(4, 6)), draw(st.integers(1, 3))
+        cells = [(k, i) for k in range(copies) for i in range(length)]
+        edges = [((k, i), (k, (i + 1) % length)) for k, i in cells]
+    else:
+        rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        cells = [(r, c) for r in range(rows) for c in range(cols)]
+        edges = [((r, c), (r, c + 1)) for r, c in cells if c + 1 < cols]
+        edges += [((r, c), (r + 1, c)) for r, c in cells if r + 1 < rows]
+    name = {cell: f"t{cell[0]}_{cell[1]}" for cell in cells}
+    names = draw(st.permutations(list(name.values())))
+    return graph_of(names, [(name[a], name[b]) for a, b in edges])
+
+
+any_graph = st.one_of(
+    random_graphs(),
+    star_graphs(),
+    complete_graphs(),
+    disconnected_graphs(),
+    tied_graphs(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graph)
+def test_min_fill_order_matches_reference(g):
+    assert min_fill_order(g) == ref_min_fill_order(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graph, st.data())
+def test_find_cliques_matches_reference(g, data):
+    orders = st.one_of(st.just(min_fill_order(g)), st.permutations(g.vertices))
+    order = data.draw(orders, label="order")
+    filled, _ = triangulate(g, order)
+    assert find_cliques(filled, order) == ref_find_cliques(filled, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graph, st.data())
+def test_mcs_numbering_matches_reference(g, data):
+    # tied priorities fall back to declaration order in both
+    values = data.draw(
+        st.lists(st.integers(0, 3), min_size=len(g), max_size=len(g)), label="priority"
+    )
+    priority = dict(zip(g.vertices, values))
+    filled, _ = triangulate(g, min_fill_order(g))
+    assert mcs_numbering(g, priority) == ref_mcs_numbering(g, priority)
+    assert mcs_numbering(filled, priority) == ref_mcs_numbering(filled, priority)
+
+
+# -- large-graph goldens and scaling -----------------------------------------------
+
+LARGE_NETWORKS = {
+    "windowed1000": lambda: windowed_parents(1000),
+    "star1000": lambda: star_parents(1000),
+    "chain3000": lambda: chain_parents(3000),
+}
+
+#: Digests of the min-fill order, the fill edges, the find_cliques list and
+#: the compiled tree, recorded with the quadratic algorithms that
+#: tests/reference.py keeps.
+LARGE_GOLDENS = {
+    "windowed1000": (
+        "6b2438de6eba9e5b", "8ed56458d18d9a8c", "7c624534cb9ee028", "45c616f46164024d"
+    ),
+    "star1000": (
+        "fdbfd05978f1a05b", "e3b0c44298fc1c14", "1ec7e103d46d3d02", "36cc1602be5734fb"
+    ),
+    "chain3000": (
+        "8326d0761e93928f", "e3b0c44298fc1c14", "1ee9c9a5af238ccf", "e62447554f0e0e72"
+    ),
+}
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("label", sorted(LARGE_NETWORKS))
+def test_large_graph_compile_goldens(label):
+    bn = structure_network(LARGE_NETWORKS[label]())
+    moral = moralize(bn)
+    order = min_fill_order(moral)
+    filled, fill = triangulate(moral, order)
+    cliques = find_cliques(filled, order)
+    tree = compile_network(bn)
+    assert (
+        digest(order),
+        digest(f"{a},{b}" for a, b in fill),
+        digest(",".join(sorted(c)) for c in cliques),
+        digest(f"{c.members}|{c.separator}|{c.parent}" for c in tree.cliques),
+    ) == LARGE_GOLDENS[label]
+
+
+def test_star_compile_time_is_near_linear():
+    bn = structure_network(star_parents(1000))
+    start = time.perf_counter()
+    compile_network(bn)
+    assert time.perf_counter() - start < 3.0  # the quadratic min-fill took ~20 s

@@ -43,7 +43,14 @@ class Clique:
 
 
 class CliqueTree:
-    """Ordered cliques with parent links, separators, and subtree variable sets."""
+    """Ordered cliques with parent links, separators, and preorder intervals.
+
+    ``owner[name]`` is the clique holding ``name`` in its residual, the top
+    of the connected set of cliques containing it (running intersection).
+    A variable outside clique c lies in the subtree of c's child ch iff its
+    owner does, so routing needs only the intervals, not per-clique
+    variable sets.
+    """
 
     def __init__(
         self,
@@ -63,16 +70,31 @@ class CliqueTree:
             cid: tuple(ids) for cid, ids in children.items()
         }
 
-        self.subtree: dict[int, frozenset[str]] = {}
-        for c in reversed(self.cliques):
-            vars_ = set(c.members)
-            for ch in self.children[c.id]:
-                vars_ |= self.subtree[ch]
-            self.subtree[c.id] = frozenset(vars_)
-
         self.roots: tuple[int, ...] = tuple(
             c.id for c in self.cliques if c.parent is None
         )
+
+        # Preorder intervals: clique d lies in the subtree of clique c iff
+        # first[c] <= first[d] <= last[c].  Children are visited in
+        # ascending rank, so a subtree ends where its last child's does.
+        n = len(self.cliques)
+        preorder: list[int] = []
+        first, last, root_of = [0] * n, [0] * n, [0] * n
+        for root in self.roots:
+            stack = [root]
+            while stack:
+                cid = stack.pop()
+                first[cid] = len(preorder)
+                root_of[cid] = root
+                preorder.append(cid)
+                stack.extend(reversed(self.children[cid]))
+        for cid in reversed(preorder):
+            kids = self.children[cid]
+            last[cid] = last[kids[-1]] if kids else first[cid]
+        self.preorder: tuple[int, ...] = tuple(preorder)
+        self.first: tuple[int, ...] = tuple(first)
+        self.last: tuple[int, ...] = tuple(last)
+        self.root_of: tuple[int, ...] = tuple(root_of)
 
         containing: dict[str, list[int]] = {}
         self.owner: dict[str, int] = {}
@@ -102,9 +124,12 @@ class CliqueTree:
         return tuple(out)
 
     def component_root(self, cid: int) -> int:
-        while self.cliques[cid].parent is not None:
-            cid = self.cliques[cid].parent
-        return cid
+        return self.root_of[cid]
+
+    def subtree_variables(self, cid: int) -> frozenset[str]:
+        """Every variable in a clique's subtree, gathered on demand."""
+        span = self.preorder[self.first[cid]:self.last[cid] + 1]
+        return frozenset(name for d in span for name in self.cliques[d].members)
 
     def label(self, cid: int) -> str:
         return "(" + _join_names(self.cliques[cid].members) + ")"

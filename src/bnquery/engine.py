@@ -71,6 +71,16 @@ class TraceEvent:
     resolution: str
 
 
+@dataclass(slots=True)
+class _Visit:
+    """One open clique visit of ``QueryEngine._resolve``."""
+
+    key: tuple[int, frozenset[str]]
+    pending: list[tuple[int, tuple[str, ...]]]  # unanswered child requests, next last
+    product: Factor
+    sum_away: list[str]
+
+
 class QueryEngine:
     """Evidence-incremental exact inference for one Bayesian network."""
 
@@ -133,12 +143,12 @@ class QueryEngine:
         if self.cache_enabled:
             self._counters.cache_misses += 1
 
+        tree = self.tree
+        evidence_roots = self._evidence_roots()
         parts: list[Factor] = []
-        for root in self.tree.roots:
-            component = self.tree.subtree[root]
-            sub = tuple(t for t in tg if t in component)
-            has_evidence = any(v in component for v in self._evidence)
-            if sub or has_evidence:
+        for root in tree.roots:
+            sub = tuple(t for t in tg if tree.root_of[tree.owner[t]] == root)
+            if sub or root in evidence_roots:
                 parts.append(self._resolve(root, sub, trace))
         answer = parts[0]
         for part in parts[1:]:
@@ -196,11 +206,16 @@ class QueryEngine:
     def evidence_probability(self) -> float:
         """P(evidence): product of the evidence mass of each touched component."""
         mass = 1.0
+        evidence_roots = self._evidence_roots()
         for root in self.tree.roots:
-            component = self.tree.subtree[root]
-            if any(v in component for v in self._evidence):
+            if root in evidence_roots:
                 mass *= self._message[root].total()
         return mass
+
+    def _evidence_roots(self) -> set[int]:
+        """Roots of the tree components that hold a finding."""
+        tree = self.tree
+        return {tree.root_of[tree.owner[v]] for v in self._evidence}
 
     # -- evidence -----------------------------------------------------------
 
@@ -263,13 +278,47 @@ class QueryEngine:
         self._cache = {k: f for k, f in self._cache.items() if k[0] not in touched}
         self._memo.clear()
 
-    # -- recursion ----------------------------------------------------------
+    # -- decomposition ------------------------------------------------------
 
     def _resolve(
-        self, cid: int, targets: tuple[str, ...], trace: list[TraceEvent] | None
+        self, root: int, targets: tuple[str, ...], trace: list[TraceEvent] | None
     ) -> Factor:
+        """Answer ``targets`` at clique ``root`` from the tables of its subtree.
+
+        Depth first over an explicit stack of open visits, so tree depth is
+        bounded by memory, not by the interpreter's recursion limit.  Visits
+        open, and emit their trace events, in the pre-order of a recursive
+        descent; each child answer is multiplied in as it completes.
+        """
+        stack: list[_Visit] = []
+        answer = self._open(root, targets, trace, stack)
+        while stack:
+            visit = stack[-1]
+            if answer is not None:
+                visit.product = multiply(visit.product, answer, self._counters)
+            if visit.pending:
+                ch, sub = visit.pending.pop()
+                answer = self._open(ch, sub, trace, stack)
+                continue
+            stack.pop()
+            answer = visit.product
+            if visit.sum_away:
+                answer = sum_out(answer, visit.sum_away, self._counters)
+            if self.cache_enabled:
+                self._cache[visit.key] = answer
+        return answer
+
+    def _open(
+        self,
+        cid: int,
+        targets: tuple[str, ...],
+        trace: list[TraceEvent] | None,
+        stack: list[_Visit],
+    ) -> Factor | None:
+        """Start a visit: the cached answer, or None after pushing the visit."""
+        tree = self.tree
         key = (cid, frozenset(targets))
-        clique = self.tree.cliques[cid]
+        clique = tree.cliques[cid]
         if self.cache_enabled and key in self._cache:
             self._counters.cache_hits += 1
             if trace is not None:
@@ -287,16 +336,18 @@ class QueryEngine:
         if in_separator:
             raise QueryError(
                 f"routing bug: targets {in_separator} lie in the separator "
-                f"of clique {self.tree.label(cid)}"
+                f"of clique {tree.label(cid)}"
             )
         local = [t for t in targets if t in residual]
-        remote = tuple(t for t in targets if t not in members)
+        first, owner = tree.first, tree.owner
+        remote = [(t, first[owner[t]]) for t in targets if t not in members]
 
         requests: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
-        for ch in self.tree.children[cid]:
-            sub = tuple(t for t in remote if t in self.tree.subtree[ch])
+        for ch in tree.children[cid]:
+            lo, hi = first[ch], tree.last[ch]
+            sub = tuple(t for t, at in remote if lo <= at <= hi)
             if sub or not self._prune_children:
-                requests.append((ch, sub, self.tree.cliques[ch].separator))
+                requests.append((ch, sub, tree.cliques[ch].separator))
 
         conditional = self._conditional[cid]
         sum_away = [
@@ -307,16 +358,9 @@ class QueryEngine:
             trace.append(
                 TraceEvent(cid, targets, clique.separator, tuple(requests), resolution)
             )
-
-        product = conditional
-        for ch, sub, _sep in requests:
-            child_answer = self._resolve(ch, sub, trace)
-            product = multiply(product, child_answer, self._counters)
-        answer = sum_out(product, sum_away, self._counters) if sum_away else product
-
-        if self.cache_enabled:
-            self._cache[key] = answer
-        return answer
+        pending = [(ch, sub) for ch, sub, _sep in reversed(requests)]
+        stack.append(_Visit(key, pending, conditional, sum_away))
+        return None
 
     # -- validation ---------------------------------------------------------
 

@@ -9,6 +9,17 @@ network files, golden tables in tests).
 Factors are immutable: the backing array is marked read-only and every
 operation returns a new factor, so factors can be shared freely between
 any number of readers.
+
+A factor is validated once, where it enters the system: the public
+``Factor(...)`` constructor checks the scope for duplicate names and the
+values for shape, finiteness and sign, and network construction and the
+file loader build their tables through it.  The primitives below build
+their results through the private ``Factor._trusted``, which skips those
+checks: a scope derived from a duplicate-free one stays duplicate-free,
+and slicing, transposing, products, sums and normalization of
+nonnegative tables stay nonnegative.  Finiteness is the one property a
+result can lose, so ``multiply`` and ``sum_out``, whose arithmetic can
+overflow finite inputs to infinity, keep that guard.
 """
 
 from __future__ import annotations
@@ -80,23 +91,24 @@ class OpCounters:
 class Factor:
     """A dense nonnegative table over an ordered scope of variables."""
 
-    __slots__ = ("scope", "values")
+    __slots__ = ("scope", "names", "values")
 
     scope: tuple[Variable, ...]
+    names: tuple[str, ...]
     values: np.ndarray
 
     def __init__(self, scope: Sequence[Variable], values):
         scope = tuple(scope)
-        names = [v.name for v in scope]
+        names = tuple(v.name for v in scope)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variables in scope: {names}")
+            raise ValueError(f"duplicate variables in scope: {list(names)}")
         shape = tuple(v.cardinality for v in scope)
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != shape:
             expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
             if arr.size != expected:
                 raise ValueError(
-                    f"need {expected} values for scope {names}, got {arr.size}"
+                    f"need {expected} values for scope {list(names)}, got {arr.size}"
                 )
             arr = arr.reshape(shape)
         if not np.all(np.isfinite(arr)):
@@ -104,15 +116,28 @@ class Factor:
         if arr.size and arr.min() < 0:
             raise ValueError("factor values must be nonnegative")
         arr.setflags(write=False)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "values", arr)
+        _set_scope(self, scope)
+        _set_names(self, names)
+        _set_values(self, arr)
+
+    @classmethod
+    def _trusted(
+        cls, scope: tuple[Variable, ...], names: tuple[str, ...], values: np.ndarray
+    ) -> "Factor":
+        """A result built from validated factors: no checks, same invariants.
+
+        ``values`` must be a float64 ndarray shaped by ``scope``, and
+        ``names`` the scope's names.  The array is marked read-only.
+        """
+        f = object.__new__(cls)
+        values.setflags(write=False)
+        _set_scope(f, scope)
+        _set_names(f, names)
+        _set_values(f, values)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("Factor is immutable")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.scope)
 
     @property
     def size(self) -> int:
@@ -124,16 +149,15 @@ class Factor:
         return self.values.reshape(-1)
 
     def variable(self, name: str) -> Variable:
-        for v in self.scope:
-            if v.name == name:
-                return v
-        raise MissingVariableError(f"{name!r} not in scope {list(self.names)}")
+        return self.scope[self.axis(name)]
 
     def axis(self, name: str) -> int:
-        for i, v in enumerate(self.scope):
-            if v.name == name:
-                return i
-        raise MissingVariableError(f"{name!r} not in scope {list(self.names)}")
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise MissingVariableError(
+                f"{name!r} not in scope {list(self.names)}"
+            ) from None
 
     def value_at(self, assignment: Mapping[str, int]) -> float:
         """Cell value at a (possibly wider) assignment of state indexes."""
@@ -157,6 +181,12 @@ class Factor:
         return f"Factor({dims or 'scalar'})"
 
 
+# slot writers that bypass the immutability guard in Factor.__setattr__
+_set_scope = Factor.scope.__set__
+_set_names = Factor.names.__set__
+_set_values = Factor.values.__set__
+
+
 def unit_factor() -> Factor:
     """The empty-scope factor holding 1.0 (the multiplicative identity)."""
     return Factor((), [1.0])
@@ -167,14 +197,23 @@ def ones_factor(scope: Sequence[Variable]) -> Factor:
     return Factor(scope, np.ones(tuple(v.cardinality for v in scope)))
 
 
-def _aligned(values: np.ndarray, names: Sequence[str], target: Sequence[str]) -> np.ndarray:
-    """View of `values` broadcastable against an array over `target` scope."""
-    pos = {n: i for i, n in enumerate(target)}
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("factor values must be finite")
+
+
+def _aligned(
+    values: np.ndarray, names: Sequence[str], pos: Mapping[str, int], width: int
+) -> np.ndarray:
+    """View of `values` broadcastable against an array of `width` axes.
+
+    ``pos`` maps each of ``names`` to its axis in the target scope.
+    """
     slots = [pos[n] for n in names]
     order = sorted(range(len(slots)), key=slots.__getitem__)
     if order != list(range(len(slots))):
         values = values.transpose(order)
-    shape = [1] * len(target)
+    shape = [1] * width
     for axis, i in enumerate(order):
         shape[slots[i]] = values.shape[axis]
     return values.reshape(shape)
@@ -185,37 +224,47 @@ def multiply(f: Factor, g: Factor, counters: OpCounters | None = None) -> Factor
 
     Shared variable names must refer to identical variables.
     """
-    f_names = set(f.names)
+    pos = {n: i for i, n in enumerate(f.names)}
+    extra = []
     for v in g.scope:
-        if v.name in f_names and f.variable(v.name) != v:
+        i = pos.get(v.name)
+        if i is None:
+            pos[v.name] = len(pos)
+            extra.append(v)
+        elif f.scope[i] != v:
             raise IncompatibleVariableError(
                 f"variable {v.name!r} has conflicting definitions"
             )
-    extra = tuple(v for v in g.scope if v.name not in f_names)
-    scope = f.scope + extra
-    names = tuple(v.name for v in scope)
-    out = _aligned(f.values, f.names, names) * _aligned(g.values, g.names, names)
+    fv = f.values
+    if extra:
+        fv = fv.reshape(fv.shape + (1,) * len(extra))
+    out = np.asarray(fv * _aligned(g.values, g.names, pos, len(pos)))
     if counters is not None:
         counters.multiplications += out.size
-    return Factor(scope, out)
+    _check_finite(out)
+    return Factor._trusted(
+        f.scope + tuple(extra), f.names + tuple(v.name for v in extra), out
+    )
 
 
 def sum_out(f: Factor, names, counters: OpCounters | None = None) -> Factor:
     """Marginalize the named variables away, preserving remaining order."""
     names = set(names)
-    missing = names - set(f.names)
-    if missing:
+    if not names.issubset(f.names):
         raise MissingVariableError(
-            f"cannot sum out {sorted(missing)}; scope is {list(f.names)}"
+            f"cannot sum out {sorted(names - set(f.names))}; scope is {list(f.names)}"
         )
     if not names:
-        return Factor(f.scope, f.values)
-    axes = tuple(i for i, v in enumerate(f.scope) if v.name in names)
-    out = f.values.sum(axis=axes)
+        return Factor._trusted(f.scope, f.names, f.values)
+    axes = tuple(i for i, n in enumerate(f.names) if n in names)
+    out = np.asarray(f.values.sum(axis=axes))
     if counters is not None:
         counters.summations += f.values.size - out.size
-    scope = tuple(v for v in f.scope if v.name not in names)
-    return Factor(scope, out)
+    _check_finite(out)
+    keep = [i for i, n in enumerate(f.names) if n not in names]
+    return Factor._trusted(
+        tuple(f.scope[i] for i in keep), tuple(f.names[i] for i in keep), out
+    )
 
 
 def substitute(f: Factor, name: str, state: int, counters: OpCounters | None = None) -> Factor:
@@ -226,11 +275,12 @@ def substitute(f: Factor, name: str, state: int, counters: OpCounters | None = N
         raise BadStateError(
             f"state {state} out of range for {name!r} (cardinality {card})"
         )
-    out = np.take(f.values, state, axis=axis)
+    out = np.asarray(np.take(f.values, state, axis=axis))
     if counters is not None:
         counters.substitutions += out.size
-    scope = f.scope[:axis] + f.scope[axis + 1:]
-    return Factor(scope, out)
+    return Factor._trusted(
+        f.scope[:axis] + f.scope[axis + 1:], f.names[:axis] + f.names[axis + 1:], out
+    )
 
 
 def normalize_conditional(f: Factor, targets) -> Factor:
@@ -240,12 +290,12 @@ def normalize_conditional(f: Factor, targets) -> Factor:
     impossible contexts).
     """
     targets = set(targets)
-    missing = targets - set(f.names)
-    if missing:
+    if not targets.issubset(f.names):
         raise MissingVariableError(
-            f"cannot normalize over {sorted(missing)}; scope is {list(f.names)}"
+            f"cannot normalize over {sorted(targets - set(f.names))}; "
+            f"scope is {list(f.names)}"
         )
-    axes = tuple(i for i, v in enumerate(f.scope) if v.name in targets)
+    axes = tuple(i for i, n in enumerate(f.names) if n in targets)
     sums = f.values.sum(axis=axes, keepdims=True)
     out = np.divide(
         f.values,
@@ -253,7 +303,7 @@ def normalize_conditional(f: Factor, targets) -> Factor:
         out=np.zeros_like(f.values),
         where=sums != 0,
     )
-    return Factor(f.scope, out)
+    return Factor._trusted(f.scope, f.names, out)
 
 
 def reorder_scope(f: Factor, names: Sequence[str]) -> Factor:
@@ -267,4 +317,8 @@ def reorder_scope(f: Factor, names: Sequence[str]) -> Factor:
         )
     current = {n: i for i, n in enumerate(f.names)}
     perm = [current[n] for n in names]
-    return Factor(tuple(f.scope[i] for i in perm), f.values.transpose(perm))
+    return Factor._trusted(
+        tuple(f.scope[i] for i in perm),
+        tuple(f.names[i] for i in perm),
+        f.values.transpose(perm),
+    )

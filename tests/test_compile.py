@@ -220,7 +220,7 @@ def test_asia_tree_structure(asia_bn):
     assert set(by_members[frozenset("EX")].separator) == {"E"}
     # (EX) hangs below (EBD): its request path runs through that clique
     assert by_members[frozenset("EX")].parent == by_members[frozenset("EBD")].id
-    assert tree.subtree[by_members[frozenset("EBD")].id] == frozenset("EBDX")
+    assert tree.subtree_variables(by_members[frozenset("EBD")].id) == frozenset("EBDX")
 
 
 def test_chain_tree_families_and_assignments():
@@ -274,7 +274,7 @@ def test_compile_invariants_random(seed):
         earlier |= c.member_set
 
     for root in tree.roots:
-        comp = tree.subtree[root]
+        comp = tree.subtree_variables(root)
         for c in tree.cliques:
             if tree.component_root(c.id) == root:
                 assert c.member_set <= comp
@@ -323,8 +323,63 @@ def test_disconnected_network_compiles_to_forest():
     )
     tree = compile_network(bn)
     assert len(tree.roots) == 2
-    components = {frozenset(tree.subtree[r]) for r in tree.roots}
+    components = {tree.subtree_variables(r) for r in tree.roots}
     assert components == {frozenset("ab"), frozenset("cd")}
+
+
+def forest_parents():
+    """Three components: two windowed DAGs and a chain."""
+    parts = [
+        windowed_parents(40, window=4, seed=1),
+        chain_parents(30),
+        windowed_parents(25, window=3, seed=2),
+    ]
+    parents = {}
+    for k, part in enumerate(parts):
+        for name, ps in part.items():
+            parents[f"{name}_{k}"] = tuple(f"{p}_{k}" for p in ps)
+    return parents
+
+
+INTERVAL_NETWORKS = {
+    **{
+        f"random{s}": lambda s=s: random_network(np.random.default_rng(2000 + s), 10)
+        for s in range(12)
+    },
+    "forest": lambda: structure_network(forest_parents()),
+    "star": lambda: structure_network(star_parents(30)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(INTERVAL_NETWORKS))
+def test_preorder_intervals_match_parent_links(label):
+    # the intervals, component roots and subtree variables must say what
+    # the parent links say, and the routing rule (a variable outside a
+    # clique lies below its child iff its owner does) must hold exactly
+    tree = compile_network(INTERVAL_NETWORKS[label]())
+    below: dict[int, set[int]] = {c.id: {c.id} for c in tree.cliques}
+    walked_root = {}
+    for c in tree.cliques:
+        up = c.id
+        while tree.cliques[up].parent is not None:
+            up = tree.cliques[up].parent
+            below[up].add(c.id)
+        walked_root[c.id] = up
+    variables = {
+        cid: {n for d in ids for n in tree.cliques[d].members} for cid, ids in below.items()
+    }
+    assert sorted(tree.preorder) == [c.id for c in tree.cliques]
+    for c in tree.cliques:
+        lo, hi = tree.first[c.id], tree.last[c.id]
+        assert {d for d in below if lo <= tree.first[d] <= hi} == below[c.id]
+        assert tree.component_root(c.id) == tree.root_of[c.id] == walked_root[c.id]
+        assert tree.subtree_variables(c.id) == variables[c.id]
+        for ch in tree.children[c.id]:
+            for name in tree.owner:
+                if name in c.member_set:
+                    continue
+                at = tree.first[tree.owner[name]]
+                assert (name in variables[ch]) == (tree.first[ch] <= at <= tree.last[ch])
 
 
 # -- equivalence with the quadratic reference algorithms --------------------------

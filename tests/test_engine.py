@@ -1,6 +1,7 @@
 """Query decomposition, caching, evidence handling, counters."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ def test_retract_cost_does_not_grow_with_other_findings():
 
     below = "N39"  # keeps x's ancestors from taking back their pristine tables
     tree = QueryEngine(bn).tree
-    assert below in tree.subtree[tree.owner[x]]
+    assert below in tree.subtree_variables(tree.owner[x])
     others = ["N02", "N05", "N08", "N11", "N14", "N26", "N29", "N32", "N35"]
     one, ten = retract_cost([below]), retract_cost([below, *others])
     assert one[0] > 0
@@ -535,3 +536,69 @@ def test_normalization_properties(asia_engine):
     sums = bnquery.reorder_scope(cond, ("T", "L", "X")).values.sum(axis=-1)
     for s in sums.reshape(-1):
         assert s == pytest.approx(1.0, abs=1e-9) or s == 0.0
+
+
+# -- depth and the validation boundary ---------------------------------------------
+
+
+def test_deep_chain_answers_under_a_low_recursion_limit():
+    # a 3000-variable chain compiles to a clique path 2999 deep; its far
+    # marginal, and a finding at its tail, must not need the interpreter's
+    # stack, so both run with the recursion limit at 200
+    bn = chain_network(3000, seed=11)
+    names = bn.names
+    engine = QueryEngine(bn)
+    tree = engine.tree
+    assert len(tree.ancestors(tree.owner[names[-1]])) == 2998
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        far = engine.query_conditional([names[-1]])
+        engine.observe(names[-1], 1)
+        posterior = engine.query_conditional([names[0]])
+        engine.retract(names[-1])
+        prior = engine.query_conditional([names[0]])
+        far_again = engine.query_conditional([names[-1]])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sys.getrecursionlimit() == limit
+    assert engine.evidence == {}
+
+    # chain matrix products: forward for the marginal, backward for P(tail=1 | head)
+    forward = bn.cpt(names[0]).values
+    backward = np.array([0.0, 1.0])
+    for name in names[1:]:
+        forward = forward @ bn.cpt(name).values
+    for name in reversed(names[1:]):
+        backward = bn.cpt(name).values @ backward
+    head = bn.cpt(names[0]).values
+    assert np.allclose(far.values, forward, atol=1e-12, rtol=0)
+    assert np.array_equal(far_again.values, far.values)
+    want = head * backward / (head * backward).sum()
+    assert np.allclose(posterior.values, want, atol=1e-12, rtol=0)
+    assert np.allclose(prior.values, head, atol=1e-12, rtol=0)
+
+
+def test_engine_validates_no_factor_after_set_up(asia_bn, monkeypatch):
+    # factors are validated where they enter; every table the engine builds
+    # afterwards comes from the primitives' trusted results
+    engine = QueryEngine(asia_bn, elimination_order=bnquery.ASIA_GOLDEN_ORDER)
+    calls = []
+    validate = bnquery.Factor.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(bnquery.Factor, "__init__", counting)
+    engine.query_joint(["X", "S", "A"])  # cold
+    engine.query_conditional(["D"], ["B"])
+    engine.observe("X", 1)
+    engine.query_conditional(["L", "T"])
+    engine.evidence_probability()
+    engine.retract("X")
+    engine.query_conditional(["T"], transient_evidence=[("D", 0), ("S", 1)])
+    assert calls == []
+    bnquery.unit_factor()
+    assert len(calls) == 1  # the count does see the public constructor
+

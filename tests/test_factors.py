@@ -26,6 +26,7 @@ from reference import (
     ref_normalize,
     ref_substitute,
     ref_sum_out,
+    table_of,
 )
 
 B = Variable("B", ("0", "1"))
@@ -332,3 +333,69 @@ def test_property_substitute_commutes_with_multiply(f, g, rnd):
     right = multiply(fs, gs)
     assert sorted(left.names) == sorted(right.names)
     assert np.array_equal(left.values, reorder_scope(right, left.names).values)
+
+
+# -- trusted results -------------------------------------------------------------
+#
+# The primitives build their results without the constructor's checks.  Each
+# result must still be exactly what the validating constructor would build.
+# Products and slices are compared with the reference bit for bit; sums are
+# accumulated by numpy in its own order, so they get a tolerance fixed from
+# float64 rounding over at most 24 cells of at most 10.
+
+
+def assert_validated(out):
+    assert not out.values.flags.writeable  # before the constructor freezes it
+    again = Factor(out.scope, out.values)
+    assert out.scope == again.scope
+    assert out.names == again.names == tuple(v.name for v in out.scope)
+    assert type(out.values) is np.ndarray and out.values.dtype == np.float64
+    assert out.values.shape == again.values.shape
+    assert np.array_equal(out.values, again.values)
+
+
+def some_names(f, rnd):
+    return {v.name for v in f.scope if rnd.random() < 0.5}
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors(), factors(), st.randoms())
+def test_property_trusted_results_validate_and_match_reference(f, g, rnd):
+    prod = multiply(f, g)
+    assert_validated(prod)
+    assert factor_matches(prod, *ref_multiply(f, g))[0]
+
+    names = some_names(prod, rnd)
+    marg = sum_out(prod, names)
+    assert_validated(marg)
+    assert factor_matches(marg, *ref_sum_out(prod, names), tol=1e-12)[0]
+
+    cond = normalize_conditional(prod, names)
+    assert_validated(cond)
+    assert factor_matches(cond, *ref_normalize(prod, names), tol=1e-12)[0]
+
+    order = list(prod.names)
+    rnd.shuffle(order)
+    moved = reorder_scope(prod, order)
+    assert_validated(moved)
+    assert moved.names == tuple(order)
+    assert factor_matches(moved, prod.scope, table_of(prod))[0]
+
+    for v in prod.scope:
+        s = rnd.randrange(v.cardinality)
+        sliced = substitute(prod, v.name, s)
+        assert_validated(sliced)
+        assert factor_matches(sliced, *ref_substitute(prod, v.name, s))[0]
+
+
+def test_overflow_to_infinity_still_raises():
+    # finite inputs whose product or sum leaves float64's range
+    big = Factor([B], [1e200, 1e200])
+    huge = Factor([B, E], np.full(4, 1e308))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            multiply(big, Factor([B, E], np.full(4, 1e200)))
+        with pytest.raises(ValueError, match="finite"):
+            sum_out(huge, {"E"})
+        with pytest.raises(ValueError, match="finite"):
+            sum_out(huge, {"B", "E"})

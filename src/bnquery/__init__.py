@@ -54,7 +54,6 @@ from .oracle import (
 )
 from .preprocess import (
     CliqueState,
-    Preprocessed,
     assign_cpts,
     collect_conditionals,
     compute_potentials,

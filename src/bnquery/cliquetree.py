@@ -111,9 +111,6 @@ class CliqueTree:
             name: tuple(ids) for name, ids in containing.items()
         }
 
-    def clique(self, cid: int) -> Clique:
-        return self.cliques[cid]
-
     def ancestors(self, cid: int) -> tuple[int, ...]:
         """Strict ancestors of a clique, nearest first."""
         out = []
@@ -122,9 +119,6 @@ class CliqueTree:
             out.append(parent)
             parent = self.cliques[parent].parent
         return tuple(out)
-
-    def component_root(self, cid: int) -> int:
-        return self.root_of[cid]
 
     def subtree_variables(self, cid: int) -> frozenset[str]:
         """Every variable in a clique's subtree, gathered on demand."""

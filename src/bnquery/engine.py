@@ -9,17 +9,19 @@ residual conditional before the unwanted residual variables are summed
 away.  Every per-clique answer is cached under (clique, target set), so
 repeated and overlapping queries reuse earlier work.
 
-Observing and retracting a finding run the same refresh.  The pristine
-potentials of the cliques that hold the variable are sliced again by the
-current evidence, and ``preprocess.collect_step`` is rerun over those
-cliques and their ancestors, children first.  Every non-root table thus
-stays a proper residual conditional given the evidence below it, and a
-root keeps the unnormalized product, which totals P(evidence) for its
-component.  A clique with no evidence left in its subtree takes back its
-preprocessed tables.  Only cache entries keyed on a refreshed clique are
-dropped; the others depend on no table that changed.  Joint queries hence
-return unnormalized P(targets, evidence); conditional queries divide it
-back out.
+Each clique has one ``CliqueState`` record in two maps: ``prep`` holds
+the pristine records from preprocessing, and the live map the records the
+current evidence gives.  Observing and retracting a finding run the same
+refresh.  The pristine potentials of the cliques that hold the variable
+are sliced again by the current evidence, and ``preprocess.collect_step``
+is rerun over those cliques and their ancestors, children first, each
+writing a new live record.  Every non-root table thus stays a proper
+residual conditional given the evidence below it, and a root keeps the
+unnormalized product, which totals P(evidence) for its component.  A
+clique with no evidence left in its subtree takes back its pristine
+record.  Only cache entries keyed on a refreshed clique are dropped; the
+others depend on no table that changed.  Joint queries hence return
+unnormalized P(targets, evidence); conditional queries divide it back out.
 
 An engine instance is strictly single-threaded: queries may not overlap
 observe/retract calls, and the caches are plain dicts.  The factor tables
@@ -43,7 +45,7 @@ from .factors import (
     sum_out,
 )
 from .network import BayesianNetwork
-from .preprocess import Preprocessed, collect_step, preprocess
+from .preprocess import CliqueState, collect_step, preprocess
 
 
 @dataclass(frozen=True)
@@ -90,20 +92,12 @@ class QueryEngine:
         *,
         elimination_order: Sequence[str] | None = None,
         cache_enabled: bool = True,
-        prune_children: bool = True,
     ):
         self.bn = bn
         self.tree: CliqueTree = compile_network(bn, elimination_order)
-        self.prep: Preprocessed = preprocess(bn, self.tree)
+        self.prep: dict[int, CliqueState] = preprocess(bn, self.tree)
         self.cache_enabled = cache_enabled
-        self._prune_children = prune_children
-
-        # live tables start as references to the pristine preprocessed ones
-        states = self.prep.states
-        self._potential = {cid: st.potential for cid, st in states.items()}
-        self._conditional = {cid: st.conditional for cid, st in states.items()}
-        self._message = {cid: st.message for cid, st in states.items()}
-
+        self._live: dict[int, CliqueState] = dict(self.prep)
         self._evidence: dict[str, int] = {}
         self._cache: dict[tuple[int, frozenset[str]], Factor] = {}
         self._memo: dict[frozenset[str], Factor] = {}
@@ -116,7 +110,7 @@ class QueryEngine:
         return dict(self._evidence)
 
     def stored_conditional(self, cid: int) -> Factor:
-        return self._conditional[cid]
+        return self._live[cid].conditional
 
     def op_counters(self) -> OpCounters:
         return self._counters.snapshot()
@@ -209,7 +203,7 @@ class QueryEngine:
         evidence_roots = self._evidence_roots()
         for root in self.tree.roots:
             if root in evidence_roots:
-                mass *= self._message[root].total()
+                mass *= self._live[root].message.total()
         return mass
 
     def _evidence_roots(self) -> set[int]:
@@ -250,30 +244,29 @@ class QueryEngine:
 
     def _refresh(self, name: str) -> None:
         """Rerun the collect step where a finding on ``name`` changed an input."""
-        tree, states, evidence = self.tree, self.prep.states, self._evidence
-        for cid in tree.containing[name]:
-            potential = states[cid].potential
-            for v in tree.cliques[cid].members:
-                if v in evidence:
-                    potential = substitute(potential, v, evidence[v], self._counters)
-            self._potential[cid] = potential
-
-        touched = {*tree.containing[name], *tree.ancestors(tree.owner[name])}
+        tree, prep, live, evidence = self.tree, self.prep, self._live, self._evidence
+        sliced = set(tree.containing[name])
+        touched = sliced.union(tree.ancestors(tree.owner[name]))
         for cid in sorted(touched, reverse=True):
-            st = states[cid]
-            children = tree.children[cid]
-            product = self._potential[cid]
-            if product is st.potential and all(
-                self._message[ch] is states[ch].message for ch in children
-            ):
-                self._conditional[cid], self._message[cid] = st.conditional, st.message
+            st, clique, children = prep[cid], tree.cliques[cid], tree.children[cid]
+            if cid in sliced:
+                potential = st.potential
+                for v in clique.members:
+                    if v in evidence:
+                        potential = substitute(potential, v, evidence[v], self._counters)
+            else:
+                potential = live[cid].potential
+            if potential is st.potential and all(live[ch] is prep[ch] for ch in children):
+                live[cid] = st
                 continue
+            product = potential
             for ch in children:  # ascending rank, as in preprocessing
-                product = multiply(product, self._message[ch], self._counters)
-            clique = tree.cliques[cid]
-            cond, self._message[cid] = collect_step(clique, product, self._counters)
+                product = multiply(product, live[ch].message, self._counters)
+            cond, message = collect_step(clique, product, self._counters)
             # a root keeps the product, whose total is P(evidence) for its component
-            self._conditional[cid] = product if clique.parent is None else cond
+            live[cid] = CliqueState(
+                potential, product if clique.parent is None else cond, message
+            )
 
         self._cache = {k: f for k, f in self._cache.items() if k[0] not in touched}
         self._memo.clear()
@@ -346,10 +339,10 @@ class QueryEngine:
         for ch in tree.children[cid]:
             lo, hi = first[ch], tree.last[ch]
             sub = tuple(t for t, at in remote if lo <= at <= hi)
-            if sub or not self._prune_children:
+            if sub:
                 requests.append((ch, sub, tree.cliques[ch].separator))
 
-        conditional = self._conditional[cid]
+        conditional = self._live[cid].conditional
         sum_away = [
             r for r in clique.residual if r in conditional.names and r not in local
         ]

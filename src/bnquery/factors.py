@@ -148,9 +148,6 @@ class Factor:
         """Row-major cell list; the last scope variable varies fastest."""
         return self.values.reshape(-1)
 
-    def variable(self, name: str) -> Variable:
-        return self.scope[self.axis(name)]
-
     def axis(self, name: str) -> int:
         try:
             return self.names.index(name)

@@ -47,7 +47,8 @@ class BayesianNetwork:
                 raise InvalidNetworkError(f"{name!r} lists a parent twice")
             if name in plist:
                 raise InvalidNetworkError(f"{name!r} cannot be its own parent")
-            self.parents[name] = plist
+            # the declared names, so equal names of another str type never mix in
+            self.parents[name] = tuple(self._by_name[p].name for p in plist)
         unknown = set(parents) - set(names)
         if unknown:
             raise InvalidNetworkError(f"parents given for unknown variables {sorted(unknown)}")

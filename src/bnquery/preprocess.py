@@ -5,9 +5,11 @@ the lowest-ranked clique to contain.  The collect pass runs
 ``collect_step`` in decreasing rank: a clique's potential times its
 children's messages splits into the conditional of its residual given its
 separator and the message (that product summed over the residual) for its
-parent.  The query engine reruns the same step over the cliques a finding
-touches.  All multiplication orders are fixed (CPTs by variable name,
-child messages by child rank) so repeated runs are bit-identical.
+parent.  ``preprocess`` returns one pristine ``CliqueState`` per clique;
+the query engine keeps these beside a live map of the same records and
+reruns the same step over the cliques a finding touches.  All
+multiplication orders are fixed (CPTs by variable name, child messages by
+child rank) so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -26,26 +28,22 @@ from .factors import (
 from .network import BayesianNetwork
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliqueState:
-    """Stored tables for one clique.
+    """Stored tables for one clique; records are replaced, never edited.
 
-    ``potential`` is the product of assigned CPTs, ``conditional`` holds
-    P(residual | separator), and ``message`` is what the collect pass sent
-    to the parent (for a root, the component mass as an empty-scope table).
-    The engine slices ``potential`` by evidence and reuses the other two
-    while no evidence lies in the clique's subtree.
+    In a pristine record ``potential`` is the product of assigned CPTs,
+    ``conditional`` holds P(residual | separator), and ``message`` is what
+    the collect pass sent to the parent (for a root, the component mass as
+    an empty-scope table).  In the engine's live record ``potential`` is
+    that product sliced by the current evidence, and a root with evidence
+    below it holds the unnormalized product as its ``conditional``, so its
+    ``message`` totals P(evidence) for the component.
     """
 
     potential: Factor
     conditional: Factor
     message: Factor
-
-
-@dataclass
-class Preprocessed:
-    states: dict[int, CliqueState]
-    root_mass: dict[int, float]
 
 
 def assign_cpts(bn: BayesianNetwork, tree: CliqueTree) -> dict[str, int]:
@@ -147,16 +145,11 @@ def node_marginals(
     return out
 
 
-def preprocess(bn: BayesianNetwork, tree: CliqueTree) -> Preprocessed:
+def preprocess(bn: BayesianNetwork, tree: CliqueTree) -> dict[int, CliqueState]:
+    """The pristine record of every clique, keyed by clique id."""
     potentials = compute_potentials(bn, tree, assign_cpts(bn, tree))
     conditionals, messages = collect_conditionals(tree, potentials)
-    states = {
-        c.id: CliqueState(
-            potential=potentials[c.id],
-            conditional=conditionals[c.id],
-            message=messages[c.id],
-        )
+    return {
+        c.id: CliqueState(potentials[c.id], conditionals[c.id], messages[c.id])
         for c in tree.cliques
     }
-    root_mass = {cid: messages[cid].total() for cid in tree.roots}
-    return Preprocessed(states=states, root_mass=root_mass)

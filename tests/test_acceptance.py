@@ -151,8 +151,9 @@ def test_criterion_4_joint_factorization(corpus):
         for bn, engine, joint, _rng in corpus:
             product = unit_factor()
             for c in engine.tree.cliques:
-                product = multiply(product, engine.prep.states[c.id].conditional)
-            for mass in engine.prep.root_mass.values():
+                product = multiply(product, engine.prep[c.id].conditional)
+            for root in engine.tree.roots:
+                mass = engine.prep[root].message.total()
                 product = multiply(product, Factor((), [mass]))
             assert max_deviation(product, joint) <= 1e-9
 

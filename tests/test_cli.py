@@ -64,6 +64,20 @@ def test_trace_is_byte_deterministic():
     assert first[0] == 0
 
 
+def test_repeated_traced_query_is_answered_from_the_memo():
+    script = "query P(A,X,S) --trace\nquery P(A,X,S) --trace\n"
+    code, out, _ = run(["--order", ORDER, ASIA], stdin=script)
+    assert code == 0
+    first_trace, first_table_and_second_trace, second_table = out.split(
+        "P(A, X, S):\n"
+    )
+    assert first_trace == GOLDEN_TRACE_TEXT
+    # the second trace is the memo line alone, and the answer is the same
+    assert first_table_and_second_trace == (
+        second_table + "query answered from cache\n"
+    )
+
+
 def test_observe_then_checked_normalized_query():
     script = "observe E=yes\nquery P(A,X,S) --normalize --check\n"
     code, out, err = run(["--order", ORDER, ASIA], stdin=script)

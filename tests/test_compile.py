@@ -276,7 +276,7 @@ def test_compile_invariants_random(seed):
     for root in tree.roots:
         comp = tree.subtree_variables(root)
         for c in tree.cliques:
-            if tree.component_root(c.id) == root:
+            if tree.root_of[c.id] == root:
                 assert c.member_set <= comp
 
     # variables partition into residuals
@@ -372,7 +372,7 @@ def test_preorder_intervals_match_parent_links(label):
     for c in tree.cliques:
         lo, hi = tree.first[c.id], tree.last[c.id]
         assert {d for d in below if lo <= tree.first[d] <= hi} == below[c.id]
-        assert tree.component_root(c.id) == tree.root_of[c.id] == walked_root[c.id]
+        assert tree.root_of[c.id] == walked_root[c.id]
         assert tree.subtree_variables(c.id) == variables[c.id]
         for ch in tree.children[c.id]:
             for name in tree.owner:

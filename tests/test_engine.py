@@ -181,9 +181,10 @@ def test_query_errors(asia_engine):
         asia_engine.query_conditional(["A"], ["A"])
 
 
-def test_multi_component_query_multiplies_parts():
+def two_chain_forest():
+    """a -> b and c -> d: two components."""
     vs = {n: bnquery.Variable(n, ("0", "1")) for n in "abcd"}
-    bn = bnquery.BayesianNetwork(
+    return bnquery.BayesianNetwork(
         [vs[n] for n in "abcd"],
         {"a": (), "b": ("a",), "c": (), "d": ("c",)},
         {
@@ -193,6 +194,10 @@ def test_multi_component_query_multiplies_parts():
             "d": bnquery.Factor([vs["c"], vs["d"]], [0.5, 0.5, 0.25, 0.75]),
         },
     )
+
+
+def test_multi_component_query_multiplies_parts():
+    bn = two_chain_forest()
     engine = QueryEngine(bn)
     joint = enumerate_joint(bn)
     got = engine.query_conditional(["b", "d"])
@@ -314,7 +319,7 @@ def test_transient_evidence_is_applied_then_retracted(asia_bn, asia_joint):
     assert max_deviation(got, want) <= 1e-9
     assert engine.evidence == {}
     # stored tables are back to the pristine objects
-    for cid, st in engine.prep.states.items():
+    for cid, st in engine.prep.items():
         assert engine.stored_conditional(cid) is st.conditional
 
 
@@ -340,7 +345,7 @@ def test_evidence_order_invariance():
 def test_observe_then_retract_restores_bit_identical(asia_engine):
     pristine = {
         cid: st.conditional.values.copy()
-        for cid, st in asia_engine.prep.states.items()
+        for cid, st in asia_engine.prep.items()
     }
     asia_engine.observe("E", 0)
     asia_engine.retract("E")
@@ -380,14 +385,14 @@ def test_retract_one_of_two_matches_fresh_engine():
         fresh = QueryEngine(bn)
         for name in sorted(engine.evidence, reverse=True):
             fresh.observe(name, engine.evidence[name])
-        for cid in engine.prep.states:
+        for cid in engine.prep:
             assert np.array_equal(
                 engine.stored_conditional(cid).values,
                 fresh.stored_conditional(cid).values,
             )
         for name in list(engine.evidence):
             engine.retract(name)
-        for cid, st in engine.prep.states.items():
+        for cid, st in engine.prep.items():
             assert engine.stored_conditional(cid) is st.conditional
 
 
@@ -448,6 +453,21 @@ def test_repeat_query_is_free(asia_engine):
     assert after.cache_hits - before.cache_hits >= 1
 
 
+def test_repeat_query_across_components_with_evidence_is_free():
+    # the whole-query memo also saves multiplying the per-component answers
+    engine = QueryEngine(two_chain_forest())
+    assert len(engine.tree.roots) == 2
+    engine.observe("a", 0)
+    engine.observe("d", 1)
+    first = engine.query_conditional(["b", "c"])
+    before = engine.op_counters()
+    again = engine.query_conditional(["b", "c"])
+    after = engine.op_counters()
+    assert after.multiplications - before.multiplications == 0
+    assert after.summations - before.summations == 0
+    assert np.array_equal(first.values, again.values)
+
+
 def test_overlapping_query_reuses_subtree_work(asia_bn):
     warm = QueryEngine(asia_bn, elimination_order=bnquery.ASIA_GOLDEN_ORDER)
     warm.query_joint(["A", "X", "S"])
@@ -474,23 +494,6 @@ def test_cache_disabled_engine_matches_cell_for_cell():
             b = uncached.query_joint(targets)
             assert a.names == b.names
             assert np.array_equal(a.values, b.values)
-
-
-def test_child_pruning_never_changes_a_cell():
-    for seed in (80, 81):
-        bn, pruning = engine_for(seed, n=9)
-        asking = QueryEngine(bn, prune_children=False)
-        rng = np.random.default_rng(seed)
-        names = list(bn.names)
-        evidence = names[0]
-        pruning.observe(evidence, 0)
-        asking.observe(evidence, 0)
-        for _ in range(4):
-            k = int(rng.integers(1, 4))
-            targets = list(rng.choice(names[1:], size=k, replace=False))
-            a = pruning.query_joint(targets)
-            b = asking.query_joint(targets)
-            assert np.allclose(a.values, b.values, atol=1e-15, rtol=0.0)
 
 
 def test_cached_answers_survive_unrelated_evidence(asia_engine):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from bnquery import BayesianNetwork, Factor, InvalidNetworkError, Variable
+from bnquery import (
+    BayesianNetwork,
+    Factor,
+    InvalidNetworkError,
+    Variable,
+    compile_network,
+)
 
 
 def two_bit(name):
@@ -69,3 +75,24 @@ def test_cpt_child_rows_sum_to_one_for_every_parent_assignment(asia_bn):
     for name in asia_bn.names:
         rows = asia_bn.cpt(name).values.reshape(-1, asia_bn.var(name).cardinality)
         assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
+
+
+def test_parent_names_are_the_declared_str_names():
+    # numpy string parents (as numpy's choice returns them) hash and compare
+    # like str, so without this, sets of names would hold either type
+    a, b, c = two_bit("a"), two_bit("b"), two_bit("c")
+    bn = BayesianNetwork(
+        [a, b, c],
+        {"b": (np.str_("a"),), "c": (np.str_("a"), np.str_("b"))},
+        {
+            "a": Factor([a], [0.4, 0.6]),
+            "b": Factor([a, b], np.full((2, 2), 0.5)),
+            "c": Factor([a, b, c], np.full((2, 2, 2), 0.5)),
+        },
+    )
+    assert bn.parents["c"] == ("a", "b")
+    tree = compile_network(bn)
+    names = [p for ps in bn.parents.values() for p in ps]
+    for clique in tree.cliques:
+        names += [*clique.members, *clique.separator, *clique.residual]
+    assert names and all(type(n) is str for n in names)

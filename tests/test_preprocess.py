@@ -29,7 +29,7 @@ def build(seed, n=5):
 
 
 def clique_marginals(tree, prep):
-    conditionals = {cid: st.conditional for cid, st in prep.states.items()}
+    conditionals = {cid: st.conditional for cid, st in prep.items()}
     return distribute_marginals(tree, conditionals)
 
 
@@ -128,15 +128,15 @@ def test_single_clique_conditional_is_joint():
     tree = compile_network(bn)
     prep = preprocess(bn, tree)
     joint = enumerate_joint(bn)
-    assert max_deviation(prep.states[0].conditional, joint) <= 1e-12
-    assert prep.root_mass[0] == pytest.approx(1.0, abs=1e-12)
+    assert max_deviation(prep[0].conditional, joint) <= 1e-12
+    assert prep[0].message.total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_leaf_cpt_clique_conditional_unchanged(asia_bn):
     tree = compile_network(asia_bn, bnquery.ASIA_GOLDEN_ORDER)
     prep = preprocess(asia_bn, tree)
     ex = next(c.id for c in tree.cliques if c.member_set == frozenset("EX"))
-    got = bnquery.reorder_scope(prep.states[ex].conditional, ("E", "X"))
+    got = bnquery.reorder_scope(prep[ex].conditional, ("E", "X"))
     assert np.allclose(got.values, asia_bn.cpt("X").values, atol=1e-15)
 
 
@@ -148,7 +148,7 @@ def test_conditionals_match_oracle(seed):
     for c in tree.cliques:
         clique_joint = sum_out(joint, set(bn.names) - c.member_set)
         expected = normalize_conditional(clique_joint, c.residual)
-        assert max_deviation(prep.states[c.id].conditional, expected) <= 1e-9
+        assert max_deviation(prep[c.id].conditional, expected) <= 1e-9
 
 
 # -- distribute pass ----------------------------------------------------------------
@@ -253,8 +253,9 @@ def test_joint_factorization(seed):
     prep = preprocess(bn, tree)
     product = unit_factor()
     for c in tree.cliques:
-        product = multiply(product, prep.states[c.id].conditional)
-    for root, mass in prep.root_mass.items():
+        product = multiply(product, prep[c.id].conditional)
+    for root in tree.roots:
+        mass = prep[root].message.total()
         product = multiply(product, bnquery.Factor((), [mass]))
     joint = enumerate_joint(bn)
     assert max_deviation(product, joint) <= 1e-9
@@ -267,11 +268,13 @@ def test_preprocess_is_bit_deterministic():
     p2 = preprocess(bn, tree2)
     m1 = clique_marginals(tree, p1)
     m2 = clique_marginals(tree2, p2)
-    for cid in p1.states:
+    for cid in p1:
         assert np.array_equal(
-            p1.states[cid].conditional.values, p2.states[cid].conditional.values
+            p1[cid].conditional.values, p2[cid].conditional.values
         )
         assert np.array_equal(
             m1[cid].values, m2[cid].values
         )
-    assert p1.root_mass == p2.root_mass
+    assert {r: p1[r].message.total() for r in tree.roots} == {
+        r: p2[r].message.total() for r in tree2.roots
+    }

@@ -15,12 +15,13 @@ current evidence gives.  Observing and retracting a finding run the same
 refresh.  The pristine potentials of the cliques that hold the variable
 are sliced again by the current evidence, and ``preprocess.collect_step``
 is rerun over those cliques and their ancestors, children first, each
-writing a new live record.  Every non-root table thus stays a proper
-residual conditional given the evidence below it, and a root keeps the
-unnormalized product, which totals P(evidence) for its component.  A
-clique with no evidence left in its subtree takes back its pristine
-record.  Only cache entries keyed on a refreshed clique are dropped; the
-others depend on no table that changed.  Joint queries hence return
+writing a new live record.  Every table, a root's included, thus stays
+P(residual | separator, evidence below), and a root's message holds its
+component's mass P(evidence).  A clique with no evidence left in its
+subtree takes back its pristine record.  Only cache entries keyed on a
+refreshed clique are dropped; the others depend on no table that changed.
+A joint query resolves only the components holding targets and multiplies
+in the mass of every component holding evidence, so it returns
 unnormalized P(targets, evidence); conditional queries divide it back out.
 
 An engine instance is strictly single-threaded: queries may not overlap
@@ -126,7 +127,10 @@ class QueryEngine:
     def query_joint(
         self, targets: Sequence[str], *, trace: list[TraceEvent] | None = None
     ) -> Factor:
-        """Unnormalized P(targets, evidence) over the requested scope order."""
+        """Unnormalized P(targets, evidence) over the requested scope order.
+
+        The answer is memoized in that order and returned as stored.
+        """
         tg = self._check_targets(targets)
         key = frozenset(tg)
         if self.cache_enabled and key in self._memo:
@@ -138,18 +142,20 @@ class QueryEngine:
             self._counters.cache_misses += 1
 
         tree = self.tree
-        evidence_roots = self._evidence_roots()
         parts: list[Factor] = []
         for root in tree.roots:
             sub = tuple(t for t in tg if tree.root_of[tree.owner[t]] == root)
-            if sub or root in evidence_roots:
+            if sub:
                 parts.append(self._resolve(root, sub, trace))
         answer = parts[0]
         for part in parts[1:]:
             answer = multiply(answer, part, self._counters)
+        for root in self._evidence_roots():
+            answer = multiply(answer, self._live[root].message, self._counters)
+        answer = reorder_scope(answer, tg)
         if self.cache_enabled:
             self._memo[key] = answer
-        return reorder_scope(answer, tg)
+        return answer
 
     def query_conditional(
         self,
@@ -200,16 +206,14 @@ class QueryEngine:
     def evidence_probability(self) -> float:
         """P(evidence): product of the evidence mass of each touched component."""
         mass = 1.0
-        evidence_roots = self._evidence_roots()
-        for root in self.tree.roots:
-            if root in evidence_roots:
-                mass *= self._live[root].message.total()
+        for root in self._evidence_roots():
+            mass *= self._live[root].message.total()
         return mass
 
-    def _evidence_roots(self) -> set[int]:
-        """Roots of the tree components that hold a finding."""
+    def _evidence_roots(self) -> list[int]:
+        """Roots of the tree components that hold a finding, in rank order."""
         tree = self.tree
-        return {tree.root_of[tree.owner[v]] for v in self._evidence}
+        return sorted({tree.root_of[tree.owner[v]] for v in self._evidence})
 
     # -- evidence -----------------------------------------------------------
 
@@ -258,15 +262,9 @@ class QueryEngine:
                 potential = live[cid].potential
             if potential is st.potential and all(live[ch] is prep[ch] for ch in children):
                 live[cid] = st
-                continue
-            product = potential
-            for ch in children:  # ascending rank, as in preprocessing
-                product = multiply(product, live[ch].message, self._counters)
-            cond, message = collect_step(clique, product, self._counters)
-            # a root keeps the product, whose total is P(evidence) for its component
-            live[cid] = CliqueState(
-                potential, product if clique.parent is None else cond, message
-            )
+            else:
+                messages = [live[ch].message for ch in children]  # ascending rank
+                live[cid] = collect_step(clique, potential, messages, self._counters)
 
         self._cache = {k: f for k, f in self._cache.items() if k[0] not in touched}
         self._memo.clear()

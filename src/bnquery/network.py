@@ -127,23 +127,6 @@ class BayesianNetwork:
     def state_index(self, name: str, label: str) -> int:
         return self.var(name).state_index(label)
 
-    def topological_order(self) -> tuple[str, ...]:
-        """Parents-before-children order, deterministic by declaration."""
-        placed: list[str] = []
-        done: set[str] = set()
-        while len(placed) < len(self.variables):
-            progressed = False
-            for v in self.variables:
-                if v.name in done:
-                    continue
-                if all(p in done for p in self.parents[v.name]):
-                    placed.append(v.name)
-                    done.add(v.name)
-                    progressed = True
-            if not progressed:  # unreachable after _check_acyclic
-                raise InvalidNetworkError("cycle detected")
-        return tuple(placed)
-
     def state_space_size(self) -> int:
         size = 1
         for v in self.variables:

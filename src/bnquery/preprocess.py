@@ -32,13 +32,13 @@ from .network import BayesianNetwork
 class CliqueState:
     """Stored tables for one clique; records are replaced, never edited.
 
-    In a pristine record ``potential`` is the product of assigned CPTs,
-    ``conditional`` holds P(residual | separator), and ``message`` is what
-    the collect pass sent to the parent (for a root, the component mass as
-    an empty-scope table).  In the engine's live record ``potential`` is
-    that product sliced by the current evidence, and a root with evidence
-    below it holds the unnormalized product as its ``conditional``, so its
-    ``message`` totals P(evidence) for the component.
+    Pristine or live, root or not, the fields mean the same thing:
+    ``potential`` is the product of the clique's assigned CPTs (in a live
+    record, sliced by the current evidence), ``conditional`` is
+    P(residual | separator, evidence below), and ``message`` is the
+    potential times the children's messages, summed over the residual.
+    A root's message has empty scope and holds its component's mass,
+    P(evidence) for that component.
     """
 
     potential: Factor
@@ -85,51 +85,57 @@ def compute_potentials(
 
 
 def collect_step(
-    clique: Clique, product: Factor, counters: OpCounters | None = None
-) -> tuple[Factor, Factor]:
-    """Split a clique's potential times its children's messages.
+    clique: Clique,
+    potential: Factor,
+    messages: list[Factor],
+    counters: OpCounters | None = None,
+) -> CliqueState:
+    """One clique's record from its potential and its children's messages.
 
-    Returns P(residual | separator), the product normalized over the
-    residual variables still in its scope, and the message for the parent,
-    the product summed over them.
+    The product of the potential and the messages (in the order given)
+    splits into P(residual | separator), normalized over the residual
+    variables still in its scope, and the message for the parent, the
+    product summed over them.
     """
+    product = potential
+    for message in messages:
+        product = multiply(product, message, counters)
     residual = [r for r in clique.residual if r in product.names]
     conditional = normalize_conditional(product, residual)
-    return conditional, sum_out(product, residual, counters)
+    return CliqueState(potential, conditional, sum_out(product, residual, counters))
 
 
 def collect_conditionals(
     tree: CliqueTree, potentials: dict[int, Factor]
-) -> tuple[dict[int, Factor], dict[int, Factor]]:
-    """Decreasing-rank pass producing P(residual | separator) per clique.
+) -> dict[int, CliqueState]:
+    """Decreasing-rank pass producing every clique's record.
 
-    Returns the conditionals and every clique's message.  A root's message
-    has empty scope and holds that component's normalization mass, which
-    is 1 up to rounding for a valid network.
+    A root's message has empty scope and holds that component's
+    normalization mass, which is 1 up to rounding for a valid network.
     """
-    conditionals: dict[int, Factor] = {}
-    messages: dict[int, Factor] = {}
+    records: dict[int, CliqueState] = {}
     for c in reversed(tree.cliques):
-        product = potentials[c.id]
-        for ch in tree.children[c.id]:  # ascending rank
-            product = multiply(product, messages[ch])
-        conditionals[c.id], messages[c.id] = collect_step(c, product)
-    return conditionals, messages
+        messages = [records[ch].message for ch in tree.children[c.id]]  # ascending rank
+        records[c.id] = collect_step(c, potentials[c.id], messages)
+    return {c.id: records[c.id] for c in tree.cliques}
 
 
 def distribute_marginals(
     tree: CliqueTree, conditionals: dict[int, Factor]
 ) -> dict[int, Factor]:
-    """Increasing-rank pass producing each clique's joint P(members)."""
+    """Increasing-rank pass producing each clique's joint P(members | evidence).
+
+    Each table is summed down to the child's separator over its own scope,
+    so variables sliced out by evidence are simply absent.
+    """
     marginals: dict[int, Factor] = {}
     for c in tree.cliques:
         if c.parent is None:
             marginals[c.id] = conditionals[c.id]
         else:
-            parent = tree.cliques[c.parent]
-            drop = set(parent.members) - set(c.separator)
-            sep_marginal = sum_out(marginals[c.parent], drop)
-            marginals[c.id] = multiply(conditionals[c.id], sep_marginal)
+            parent = marginals[c.parent]
+            drop = [n for n in parent.names if n not in c.separator]
+            marginals[c.id] = multiply(conditionals[c.id], sum_out(parent, drop))
     return marginals
 
 
@@ -139,17 +145,11 @@ def node_marginals(
     """Single-variable marginals, read from the lowest-ranked containing clique."""
     out: dict[str, Factor] = {}
     for name in bn.names:
-        cid = tree.containing[name][0]
-        members = set(tree.cliques[cid].members)
-        out[name] = sum_out(marginals[cid], members - {name})
+        m = marginals[tree.containing[name][0]]
+        out[name] = sum_out(m, [n for n in m.names if n != name])
     return out
 
 
 def preprocess(bn: BayesianNetwork, tree: CliqueTree) -> dict[int, CliqueState]:
     """The pristine record of every clique, keyed by clique id."""
-    potentials = compute_potentials(bn, tree, assign_cpts(bn, tree))
-    conditionals, messages = collect_conditionals(tree, potentials)
-    return {
-        c.id: CliqueState(potentials[c.id], conditionals[c.id], messages[c.id])
-        for c in tree.cliques
-    }
+    return collect_conditionals(tree, compute_potentials(bn, tree, assign_cpts(bn, tree)))

@@ -3,6 +3,7 @@
 import io
 import sys
 
+import numpy as np
 import pytest
 
 import bnquery
@@ -168,6 +169,29 @@ def test_marginals_mark_observed_variables():
     assert "E: observed = yes" in out
     d_line = [l for l in out.splitlines() if l.startswith("D:")][0]
     assert "yes=" in d_line and "no=" in d_line
+
+
+def test_marginals_after_observe_match_the_engine_and_the_oracle():
+    script = "observe E=yes\nobserve S=no\nshow marginals\n"
+    code, out, err = run(["--full-precision", ASIA], stdin=script)
+    assert code == 0 and err == ""
+    bn = bnquery.load_network(ASIA)
+    evidence = {"E": 0, "S": 1}
+    engine = bnquery.QueryEngine(bn)
+    for name, state in evidence.items():
+        engine.observe(name, state)
+    joint = bnquery.enumerate_joint(bn)
+    rows = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    for name in bn.names:
+        if name in evidence:
+            assert rows[name].startswith("observed = ")
+            continue
+        printed = [float(cell.split("=")[1]) for cell in rows[name].split()]
+        for reference in (
+            engine.query_conditional([name]),
+            bnquery.oracle_query(joint, [name], evidence=evidence),
+        ):
+            assert np.max(np.abs(np.array(printed) - reference.values)) <= 1e-12
 
 
 def test_help_and_quit():

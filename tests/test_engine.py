@@ -14,8 +14,12 @@ from bnquery import (
     QueryError,
     enumerate_joint,
     max_deviation,
+    multiply,
     normalize_conditional,
     oracle_query,
+    substitute,
+    sum_out,
+    unit_factor,
 )
 from corpus import chain_network, random_network
 
@@ -205,6 +209,20 @@ def test_multi_component_query_multiplies_parts():
     assert max_deviation(got, want) <= 1e-12
 
 
+def test_evidence_only_component_is_weighed_but_not_walked():
+    bn = two_chain_forest()
+    engine = QueryEngine(bn)
+    tree = engine.tree
+    engine.observe("d", 1)
+    evidence_root = tree.root_of[tree.owner["d"]]
+    trace = []
+    got = engine.query_joint(["b"], trace=trace)
+    sliced = substitute(enumerate_joint(bn), "d", 1)
+    want = sum_out(sliced, ["a", "c"])
+    assert max_deviation(got, want) <= 1e-12
+    assert trace and all(tree.root_of[e.clique_id] != evidence_root for e in trace)
+
+
 # -- evidence ----------------------------------------------------------------------
 
 
@@ -255,6 +273,31 @@ def test_unnormalized_total_is_evidence_probability(asia_engine, asia_joint):
     want = bnquery.evidence_probability(asia_joint, {"E": 0})
     assert ans.total() == pytest.approx(want, abs=1e-12)
     assert asia_engine.evidence_probability() == pytest.approx(want, abs=1e-12)
+
+
+def test_live_records_factor_the_joint_sliced_at_the_evidence():
+    # every live conditional, a root's included, is P(residual | separator,
+    # evidence below); only the evidence roots' messages carry P(evidence)
+    for seed in range(40):
+        rng = np.random.default_rng(400 + seed)
+        bn = random_network(rng, int(rng.integers(3, 11)))
+        engine = QueryEngine(bn)
+        names = list(bn.names)
+        for _ in range(6):
+            name = names[int(rng.integers(len(names)))]
+            if name in engine.evidence:
+                engine.retract(name)
+            elif len(engine.evidence) < len(names) - 1:
+                engine.observe(name, int(rng.integers(bn.var(name).cardinality)))
+        sliced = enumerate_joint(bn)
+        for name, state in sorted(engine.evidence.items()):
+            sliced = substitute(sliced, name, state)
+        product = unit_factor()
+        for c in engine.tree.cliques:
+            product = multiply(product, engine.stored_conditional(c.id))
+        # the product of the evidence roots' messages
+        product = multiply(product, bnquery.Factor((), [engine.evidence_probability()]))
+        assert max_deviation(product, sliced) <= 1e-9
 
 
 def test_observing_a_point_mass_changes_nothing():
@@ -451,6 +494,15 @@ def test_repeat_query_is_free(asia_engine):
     assert after.multiplications - before.multiplications == 0
     assert after.summations - before.summations == 0
     assert after.cache_hits - before.cache_hits >= 1
+
+
+def test_repeat_query_joint_returns_the_stored_answer(asia_engine):
+    first = asia_engine.query_joint(["A", "X", "S"])
+    assert first.names == ("A", "X", "S")
+    assert asia_engine.query_joint(["A", "X", "S"]) is first
+    other_order = asia_engine.query_joint(["S", "A", "X"])
+    assert other_order.names == ("S", "A", "X")
+    assert max_deviation(other_order, first) == 0.0
 
 
 def test_repeat_query_across_components_with_evidence_is_free():

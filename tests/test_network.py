@@ -25,7 +25,6 @@ def test_valid_network():
     )
     assert bn.names == ("a", "b")
     assert bn.family("b") == ("a", "b")
-    assert bn.topological_order() == ("a", "b")
     assert bn.state_space_size() == 4
     assert bn.state_index("b", "1") == 1
 

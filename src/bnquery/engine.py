@@ -11,18 +11,26 @@ repeated and overlapping queries reuse earlier work.
 
 Each clique has one ``CliqueState`` record in two maps: ``prep`` holds
 the pristine records from preprocessing, and the live map the records the
-current evidence gives.  Observing and retracting a finding run the same
-refresh.  The pristine potentials of the cliques that hold the variable
-are sliced again by the current evidence, and ``preprocess.collect_step``
-is rerun over those cliques and their ancestors, children first, each
+current evidence gives.  Observing and retracting a finding are lazy: a
+write checks its arguments, updates the evidence, marks the variable
+pending and clears the whole-query memo, and it applies at the next read
+of live state (a query that misses the memo, ``stored_conditional`` or
+``evidence_probability``).  That read runs one refresh over every pending
+variable.  The pristine potentials of the cliques that hold one are
+sliced again by the current evidence, and ``preprocess.collect_step`` is
+rerun once over those cliques and their ancestors, children first, each
 writing a new live record.  Every table, a root's included, thus stays
 P(residual | separator, evidence below), and a root's message holds its
-component's mass P(evidence).  A clique with no evidence left in its
-subtree takes back its pristine record.  Only cache entries keyed on a
-refreshed clique are dropped; the others depend on no table that changed.
-A joint query resolves only the components holding targets and multiplies
-in the mass of every component holding evidence, so it returns
-unnormalized P(targets, evidence); conditional queries divide it back out.
+component's mass P(evidence).  A live record is a function of the current
+evidence alone, so a run of writes costs one refresh and leaves the
+tables an eager refresh after each write would.  A clique with no
+evidence left in its subtree takes back its pristine record.  Only cache
+entries keyed on a refreshed clique are dropped; the others depend on no
+table that changed.  The memo holds the product of the per-component
+answers, P(targets | evidence), which is what a conditional query
+normalizes; ``query_joint`` multiplies in the mass of every component
+holding evidence on the way out, so it returns unnormalized
+P(targets, evidence).
 
 An engine instance is strictly single-threaded: queries may not overlap
 observe/retract calls, and the caches are plain dicts.  The factor tables
@@ -33,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .cliquetree import CliqueTree, compile_network
 from .errors import BadStateError, EvidenceError, QueryError
@@ -100,6 +110,7 @@ class QueryEngine:
         self.cache_enabled = cache_enabled
         self._live: dict[int, CliqueState] = dict(self.prep)
         self._evidence: dict[str, int] = {}
+        self._pending: set[str] = set()  # written since the last refresh
         self._cache: dict[tuple[int, frozenset[str]], Factor] = {}
         self._memo: dict[frozenset[str], Factor] = {}
         self._counters = OpCounters()
@@ -111,6 +122,7 @@ class QueryEngine:
         return dict(self._evidence)
 
     def stored_conditional(self, cid: int) -> Factor:
+        self._refresh()
         return self._live[cid].conditional
 
     def op_counters(self) -> OpCounters:
@@ -120,6 +132,8 @@ class QueryEngine:
         self._counters.reset()
 
     def cache_size(self) -> int:
+        """Per-clique cache entries.  Pending writes are not applied first, so
+        this may count entries that the next refresh drops."""
         return len(self._cache)
 
     # -- queries ------------------------------------------------------------
@@ -129,9 +143,18 @@ class QueryEngine:
     ) -> Factor:
         """Unnormalized P(targets, evidence) over the requested scope order.
 
-        The answer is memoized in that order and returned as stored.
+        With no evidence the answer is the memoized table itself.
         """
-        tg = self._check_targets(targets)
+        answer = self._posterior(self._check_targets(targets), trace)
+        # a memo hit implies no pending write, so the live messages are current
+        for root in self._evidence_roots():
+            answer = multiply(answer, self._live[root].message, self._counters)
+        return answer
+
+    def _posterior(
+        self, tg: tuple[str, ...], trace: list[TraceEvent] | None
+    ) -> Factor:
+        """P(targets | evidence) over the order ``tg``, memoized as returned."""
         key = frozenset(tg)
         if self.cache_enabled and key in self._memo:
             self._counters.cache_hits += 1
@@ -140,6 +163,7 @@ class QueryEngine:
             return reorder_scope(self._memo[key], tg)
         if self.cache_enabled:
             self._counters.cache_misses += 1
+        self._refresh()
 
         tree = self.tree
         parts: list[Factor] = []
@@ -150,9 +174,15 @@ class QueryEngine:
         answer = parts[0]
         for part in parts[1:]:
             answer = multiply(answer, part, self._counters)
-        for root in self._evidence_roots():
-            answer = multiply(answer, self._live[root].message, self._counters)
         answer = reorder_scope(answer, tg)
+        # Impossible evidence makes every answer 0 (0/0 := 0).  A component
+        # holding targets has zeroed its own tables; one holding only
+        # evidence is not walked, so its mass is read here.
+        if self._evidence and any(
+            not self._live[r].message.total() for r in self._evidence_roots()
+        ):
+            zeros = np.zeros(answer.values.shape)
+            answer = Factor._trusted(answer.scope, answer.names, zeros)
         if self.cache_enabled:
             self._memo[key] = answer
         return answer
@@ -192,7 +222,7 @@ class QueryEngine:
                     continue
                 self.observe(name, state)
                 applied.append(name)
-            joint = self.query_joint(tg + gv, trace=trace)
+            joint = self._posterior(self._check_targets(tg + gv), trace)
             return normalize_conditional(joint, tg)
         finally:
             for name in reversed(applied):
@@ -205,6 +235,7 @@ class QueryEngine:
 
     def evidence_probability(self) -> float:
         """P(evidence): product of the evidence mass of each touched component."""
+        self._refresh()
         mass = 1.0
         for root in self._evidence_roots():
             mass *= self._live[root].message.total()
@@ -218,10 +249,10 @@ class QueryEngine:
     # -- evidence -----------------------------------------------------------
 
     def observe(self, name: str, state: int) -> None:
-        """Assert name=state and fold it into the tables it touches.
+        """Assert name=state; the tables take it in at the next read.
 
         Re-observing the same state is a no-op; a different state is an
-        error (retract first).
+        error (retract first).  Errors raise here, before any state changes.
         """
         var = self.bn.var(name)
         if not 0 <= state < var.cardinality:
@@ -237,20 +268,37 @@ class QueryEngine:
                 f"{self._evidence[name]}; retract it before re-observing"
             )
         self._evidence[name] = state
-        self._refresh(name)
+        self._pending.add(name)
+        self._memo.clear()
 
     def retract(self, name: str) -> None:
-        """Withdraw an observation from the tables it touched."""
+        """Withdraw an observation; the tables drop it at the next read."""
         if name not in self._evidence:
             raise EvidenceError(f"{name!r} is not observed")
         del self._evidence[name]
-        self._refresh(name)
+        self._pending.add(name)
+        self._memo.clear()
 
-    def _refresh(self, name: str) -> None:
-        """Rerun the collect step where a finding on ``name`` changed an input."""
+    def _refresh(self) -> None:
+        """Rerun the collect step, once, where the pending writes changed an input.
+
+        The cliques holding a pending variable form a connected subtree
+        topped by its owner, so their union plus the owners' ancestors is
+        every clique whose record can change.  Each ancestor walk stops at a
+        clique already walked, which keeps the gathering O(touched).
+        """
+        if not self._pending:
+            return
         tree, prep, live, evidence = self.tree, self.prep, self._live, self._evidence
-        sliced = set(tree.containing[name])
-        touched = sliced.union(tree.ancestors(tree.owner[name]))
+        sliced: set[int] = set()
+        walked: set[int] = set()
+        for name in self._pending:
+            sliced.update(tree.containing[name])
+            cid: int | None = tree.owner[name]
+            while cid is not None and cid not in walked:
+                walked.add(cid)
+                cid = tree.cliques[cid].parent
+        touched = sliced | walked
         for cid in sorted(touched, reverse=True):
             st, clique, children = prep[cid], tree.cliques[cid], tree.children[cid]
             if cid in sliced:
@@ -265,9 +313,8 @@ class QueryEngine:
             else:
                 messages = [live[ch].message for ch in children]  # ascending rank
                 live[cid] = collect_step(clique, potential, messages, self._counters)
-
+        self._pending.clear()
         self._cache = {k: f for k, f in self._cache.items() if k[0] not in touched}
-        self._memo.clear()
 
     # -- decomposition ------------------------------------------------------
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cliquetree import Clique, CliqueTree
 from .factors import (
     Factor,
     OpCounters,
+    _check_finite,
     multiply,
-    normalize_conditional,
     ones_factor,
     sum_out,
 )
@@ -95,14 +97,32 @@ def collect_step(
     The product of the potential and the messages (in the order given)
     splits into P(residual | separator), normalized over the residual
     variables still in its scope, and the message for the parent, the
-    product summed over them.
+    product summed over them.  One reduction serves both: the sums divide
+    the product (0/0 := 0, as in ``normalize_conditional``) and, reshaped,
+    are the message, counted as ``sum_out`` counts its summations.
     """
     product = potential
     for message in messages:
         product = multiply(product, message, counters)
-    residual = [r for r in clique.residual if r in product.names]
-    conditional = normalize_conditional(product, residual)
-    return CliqueState(potential, conditional, sum_out(product, residual, counters))
+    residual = set(clique.residual)
+    values = product.values
+    axes = tuple(i for i, n in enumerate(product.names) if n in residual)
+    sums = values.sum(axis=axes, keepdims=True)
+    conditional = np.divide(values, sums, out=np.zeros_like(values), where=sums != 0)
+    keep = [i for i, n in enumerate(product.names) if n not in residual]
+    total = sums.reshape([values.shape[i] for i in keep])
+    if counters is not None:
+        counters.summations += values.size - total.size
+    _check_finite(total)
+    return CliqueState(
+        potential,
+        Factor._trusted(product.scope, product.names, conditional),
+        Factor._trusted(
+            tuple(product.scope[i] for i in keep),
+            tuple(product.names[i] for i in keep),
+            total,
+        ),
+    )
 
 
 def collect_conditionals(

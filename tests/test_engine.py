@@ -21,7 +21,7 @@ from bnquery import (
     sum_out,
     unit_factor,
 )
-from corpus import chain_network, random_network
+from corpus import chain_network, random_network, star_parents, structure_network
 
 
 def engine_for(seed, n=8, **kwargs):
@@ -414,25 +414,34 @@ def test_retract_one_of_two_matches_fresh_engine():
     ) == 0.0
 
     # seeded observe/retract interleavings leave exactly the tables a fresh
-    # engine builds from the final evidence, whatever the history
+    # engine builds from the final evidence, whatever the history, and
+    # whether the writes are applied one by one (a read after each) or
+    # together at the end
     for seed in (92, 93, 94):
         bn, engine = engine_for(seed, n=9)
+        stepwise = QueryEngine(bn)
         rng = np.random.default_rng(seed)
         names = list(bn.names)
         for _ in range(16):
             name = names[int(rng.integers(len(names)))]
             if name in engine.evidence:
                 engine.retract(name)
+                stepwise.retract(name)
             else:
-                engine.observe(name, int(rng.integers(bn.var(name).cardinality)))
+                state = int(rng.integers(bn.var(name).cardinality))
+                engine.observe(name, state)
+                stepwise.observe(name, state)
+            stepwise.evidence_probability()
         fresh = QueryEngine(bn)
         for name in sorted(engine.evidence, reverse=True):
             fresh.observe(name, engine.evidence[name])
         for cid in engine.prep:
-            assert np.array_equal(
-                engine.stored_conditional(cid).values,
-                fresh.stored_conditional(cid).values,
-            )
+            for other in (fresh, stepwise):
+                assert np.array_equal(
+                    engine.stored_conditional(cid).values,
+                    other.stored_conditional(cid).values,
+                )
+        assert engine.evidence_probability() == stepwise.evidence_probability()
         for name in list(engine.evidence):
             engine.retract(name)
         for cid, st in engine.prep.items():
@@ -441,7 +450,8 @@ def test_retract_one_of_two_matches_fresh_engine():
 
 def test_retract_cost_does_not_grow_with_other_findings():
     # a retraction reruns the collect step over the cliques its variable
-    # touches; it does not replay the findings still held
+    # touches; it does not replay the findings still held.  The rerun
+    # happens at the next read, so the read is counted with the retraction.
     bn = chain_network(40, seed=3)
     x = "N20"
 
@@ -450,8 +460,10 @@ def test_retract_cost_does_not_grow_with_other_findings():
         for name in held:
             engine.observe(name, 1)
         engine.observe(x, 0)
+        engine.evidence_probability()
         before = engine.op_counters()
         engine.retract(x)
+        engine.evidence_probability()
         after = engine.op_counters()
         return (
             after.multiplications - before.multiplications,
@@ -470,6 +482,70 @@ def test_retract_cost_does_not_grow_with_other_findings():
 def test_retract_without_evidence_errors(asia_engine):
     with pytest.raises(EvidenceError):
         asia_engine.retract("E")
+
+
+def test_a_failed_write_changes_nothing(asia_engine):
+    # errors raise at the call, before the evidence or the pending set moves
+    asia_engine.observe("E", 0)
+    asia_engine.observe("S", 1)
+    asia_engine.evidence_probability()
+    asia_engine.retract("S")  # pending until the next read
+    evidence, pending = asia_engine.evidence, set(asia_engine._pending)
+    assert pending == {"S"}
+    with pytest.raises(bnquery.BadStateError):
+        asia_engine.observe("X", 2)
+    with pytest.raises(EvidenceError):
+        asia_engine.observe("E", 1)  # conflicting re-observe
+    with pytest.raises(EvidenceError):
+        asia_engine.retract("X")  # never observed
+    with pytest.raises(MissingVariableError):
+        asia_engine.observe("nope", 0)
+    assert asia_engine.evidence == evidence
+    assert asia_engine._pending == pending
+
+
+def test_writes_apply_at_the_next_read(asia_engine):
+    # a write does no table work; the read after it runs one refresh
+    asia_engine.query_joint(["X"])
+    before = asia_engine.op_counters()
+    asia_engine.observe("E", 0)
+    asia_engine.observe("S", 1)
+    asia_engine.retract("S")
+    assert asia_engine.op_counters() == before
+    assert asia_engine._memo == {}
+    asia_engine.evidence_probability()
+    assert asia_engine.op_counters().substitutions > before.substitutions
+    assert asia_engine._pending == set()
+
+
+def test_observing_every_leaf_of_a_deep_star_is_linear():
+    # the 600 cliques of a star form a path 599 deep; findings on every leaf
+    # refresh it once, at the read, two multiplications per clique
+    shape = structure_network(star_parents(600))
+    rng = np.random.default_rng(600)
+    cpts = {"C": bnquery.Factor([shape.var("C")], [0.3, 0.7])}
+    for name in shape.names[1:]:
+        p = rng.uniform(0.1, 0.9, size=2)
+        values = np.stack([p, 1 - p], axis=1)  # rows: C; columns: leaf state
+        cpts[name] = bnquery.Factor([shape.var("C"), shape.var(name)], values)
+    bn = bnquery.BayesianNetwork(shape.variables, shape.parents, cpts)
+    engine = QueryEngine(bn)
+    tree = engine.tree
+    assert max(len(tree.ancestors(c.id)) for c in tree.cliques) == 599
+    leaves = shape.names[1:]
+    states = rng.integers(0, 2, size=len(leaves))
+    for leaf, state in zip(leaves, states):
+        engine.observe(leaf, int(state))
+    posterior = engine.query_conditional(["C"])
+    assert engine.op_counters().multiplications <= 2 * len(tree.cliques)
+
+    # naive Bayes in log space: log P(C) + sum of log P(leaf state | C)
+    log_p = np.log(bn.cpt("C").values)
+    for leaf, state in zip(leaves, states):
+        log_p = log_p + np.log(bn.cpt(leaf).values[:, state])
+    want = np.exp(log_p - log_p.max())
+    want /= want.sum()
+    assert np.allclose(posterior.values, want, atol=1e-12, rtol=0)
 
 
 # -- cache and counters ----------------------------------------------------------------
@@ -549,9 +625,11 @@ def test_cache_disabled_engine_matches_cell_for_cell():
 
 
 def test_cached_answers_survive_unrelated_evidence(asia_engine):
-    # caching plus substitution keeps entries usable after observing
+    # caching plus substitution keeps entries usable after observing; a
+    # write applies at the next read, so each check follows a read
     asia_engine.query_joint(["X"])
     asia_engine.observe("A", 0)  # A's owner is the root; subtree entries survive
+    asia_engine.evidence_probability()
     ex = next(
         c.id for c in asia_engine.tree.cliques if c.member_set == frozenset("EX")
     )
@@ -559,8 +637,10 @@ def test_cached_answers_survive_unrelated_evidence(asia_engine):
     # retracting A, and a query with transient evidence on A, refresh only
     # the root's tables, so the entry below it survives both
     asia_engine.retract("A")
+    asia_engine.evidence_probability()
     assert (ex, frozenset({"X"})) in asia_engine._cache
     asia_engine.query_conditional(["T"], transient_evidence=[("A", 0)])
+    asia_engine.evidence_probability()
     assert (ex, frozenset({"X"})) in asia_engine._cache
 
 

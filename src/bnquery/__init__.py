@@ -2,8 +2,8 @@
 
 The package compiles a network into a clique tree, precomputes each
 clique's residual-given-separator conditional, and answers arbitrary
-joint and conditional queries by cached recursive decomposition down the
-tree.  Evidence is folded in incrementally by substitution, and a
+joint and conditional queries by cached goal-directed decomposition over
+the tree.  Evidence is folded in incrementally by substitution, and a
 brute-force enumeration oracle is included for cross-checking.
 """
 
@@ -30,7 +30,6 @@ from .factors import (
     Variable,
     multiply,
     normalize_conditional,
-    ones_factor,
     reorder_scope,
     substitute,
     sum_out,

@@ -87,7 +87,6 @@ class Session:
         )
         self.sig = FULL_SIG_DIGITS if full_precision else DEFAULT_SIG_DIGITS
         self.errored = False
-        self._compact = all(len(v.name) == 1 for v in self.bn.variables)
 
     # -- command dispatch ---------------------------------------------------
 
@@ -276,31 +275,18 @@ class Session:
             head += " | " + ", ".join(right)
         return head + ")"
 
-    def _join(self, names) -> str:
-        names = tuple(names)
-        if self._compact:
-            return "".join(names)
-        return ",".join(names)
-
     def _format_trace(self, trace: list[TraceEvent]) -> list[str]:
+        tree = self.engine.tree
         lines = []
         for event in trace:
             if event.resolution == "memo":
                 lines.append("query answered from cache")
                 continue
-            label = self.engine.tree.label(event.clique_id)
-            received = "P(" + self._join(event.targets)
-            if event.separator:
-                received += "|" + self._join(event.separator)
-            received += ")"
-            parts = [f"{label}: received {received}"]
+            received = _probability(tree, event.targets, event.separator)
+            parts = [f"{tree.label(event.clique_id)}: received {received}"]
             for child_id, targets, separator in event.requests:
-                child = self.engine.tree.label(child_id)
-                req = "P(" + self._join(targets)
-                if separator:
-                    req += "|" + self._join(separator)
-                req += ")"
-                parts.append(f"requests {req} from {child}")
+                req = _probability(tree, targets, separator)
+                parts.append(f"requests {req} from {tree.label(child_id)}")
             if not event.requests:
                 if event.resolution == "cache":
                     parts.append("answered from cache")
@@ -344,11 +330,19 @@ class Session:
             if c.parent is None:
                 print(f"{tree.label(c.id)} root")
             else:
-                sep = self._join(c.separator)
+                sep = tree._join(c.separator)
                 print(
                     f"{tree.label(c.id)} <- {tree.label(c.parent)} "
                     f"separator {{{sep}}}"
                 )
+
+
+def _probability(tree: CliqueTree, targets, separator) -> str:
+    """``P(targets|separator)``, names joined by the tree's rule."""
+    text = "P(" + tree._join(targets)
+    if separator:
+        text += "|" + tree._join(separator)
+    return text + ")"
 
 
 HELP_TEXT = """\

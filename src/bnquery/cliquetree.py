@@ -46,10 +46,9 @@ class CliqueTree:
     """Ordered cliques with parent links, separators, and preorder intervals.
 
     ``owner[name]`` is the clique holding ``name`` in its residual, the top
-    of the connected set of cliques containing it (running intersection).
-    A variable outside clique c lies in the subtree of c's child ch iff its
-    owner does, so routing needs only the intervals, not per-clique
-    variable sets.
+    of the connected set of cliques containing it (running intersection),
+    so the cliques whose subtrees hold ``name`` are its owner and the
+    owner's ancestors.
     """
 
     def __init__(
@@ -110,6 +109,7 @@ class CliqueTree:
         self.containing: dict[str, tuple[int, ...]] = {
             name: tuple(ids) for name, ids in containing.items()
         }
+        self._compact = all(len(name) == 1 for name in self.owner)
 
     def ancestors(self, cid: int) -> tuple[int, ...]:
         """Strict ancestors of a clique, nearest first."""
@@ -126,7 +126,12 @@ class CliqueTree:
         return frozenset(name for d in span for name in self.cliques[d].members)
 
     def label(self, cid: int) -> str:
-        return "(" + _join_names(self.cliques[cid].members) + ")"
+        return "(" + self._join(self.cliques[cid].members) + ")"
+
+    def _join(self, names: Sequence[str]) -> str:
+        """Names run together when every name in the network is one
+        character long, and comma-separated otherwise."""
+        return ("" if self._compact else ",").join(names)
 
     def to_dot(self) -> str:
         """Graphviz rendering: boxes for cliques, separators on the edges."""
@@ -139,12 +144,6 @@ class CliqueTree:
                 lines.append(f'  c{c.parent} -- c{c.id} [label="{sep}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _join_names(names: Sequence[str]) -> str:
-    if all(len(n) == 1 for n in names):
-        return "".join(names)
-    return ",".join(names)
 
 
 def order_cliques(

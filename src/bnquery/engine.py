@@ -1,13 +1,15 @@
 """Goal-directed query answering over a preprocessed clique tree.
 
-A query for a set of target variables is routed to the root clique of each
-tree component it touches and decomposed recursively: at a clique, targets
-inside the residual stay put, targets further down are requested from the
-children whose subtrees contain them (children with no targets are never
-asked), and the child answers are multiplied with the clique's stored
-residual conditional before the unwanted residual variables are summed
-away.  Every per-clique answer is cached under (clique, target set), so
-repeated and overlapping queries reuse earlier work.
+A query for a set of target variables visits the owner of each target
+(the clique holding it in its residual) and the owner's ancestors, the
+same walk an evidence refresh makes, and answers them children first.  A
+visited clique is asked for the targets whose owners lie in its subtree:
+those in its residual stay put, the others are requested from its visited
+children (a child with no targets below it is never asked), and the child
+answers are multiplied with the clique's stored residual conditional
+before the unwanted residual variables are summed away.  Every per-clique
+answer is cached under (clique, target set), so repeated and overlapping
+queries reuse earlier work, and a hit answers its clique's whole subtree.
 
 Each clique has one ``CliqueState`` record in two maps: ``prep`` holds
 the pristine records from preprocessing, and the live map the records the
@@ -40,7 +42,7 @@ themselves are immutable and may be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -82,16 +84,6 @@ class TraceEvent:
     separator: tuple[str, ...]
     requests: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]
     resolution: str
-
-
-@dataclass(slots=True)
-class _Visit:
-    """One open clique visit of ``QueryEngine._resolve``."""
-
-    key: tuple[int, frozenset[str]]
-    pending: list[tuple[int, tuple[str, ...]]]  # unanswered child requests, next last
-    product: Factor
-    sum_away: list[str]
 
 
 class QueryEngine:
@@ -165,16 +157,7 @@ class QueryEngine:
             self._counters.cache_misses += 1
         self._refresh()
 
-        tree = self.tree
-        parts: list[Factor] = []
-        for root in tree.roots:
-            sub = tuple(t for t in tg if tree.root_of[tree.owner[t]] == root)
-            if sub:
-                parts.append(self._resolve(root, sub, trace))
-        answer = parts[0]
-        for part in parts[1:]:
-            answer = multiply(answer, part, self._counters)
-        answer = reorder_scope(answer, tg)
+        answer = reorder_scope(self._resolve(tg, trace), tg)
         # Impossible evidence makes every answer 0 (0/0 := 0).  A component
         # holding targets has zeroed its own tables; one holding only
         # evidence is not walked, so its mass is read here.
@@ -214,14 +197,10 @@ class QueryEngine:
         applied: list[str] = []
         try:
             for name, state in transient_evidence:
-                if name in self._evidence:
-                    if self._evidence[name] != state:
-                        raise EvidenceError(
-                            f"{name!r} is already observed at a different state"
-                        )
-                    continue
+                fresh = name not in self._evidence
                 self.observe(name, state)
-                applied.append(name)
+                if fresh:
+                    applied.append(name)
             joint = self._posterior(self._check_targets(tg + gv), trace)
             return normalize_conditional(joint, tg)
         finally:
@@ -294,10 +273,10 @@ class QueryEngine:
         walked: set[int] = set()
         for name in self._pending:
             sliced.update(tree.containing[name])
-            cid: int | None = tree.owner[name]
-            while cid is not None and cid not in walked:
+            for cid in _up_from(tree, tree.owner[name]):
+                if cid in walked:
+                    break
                 walked.add(cid)
-                cid = tree.cliques[cid].parent
         touched = sliced | walked
         for cid in sorted(touched, reverse=True):
             st, clique, children = prep[cid], tree.cliques[cid], tree.children[cid]
@@ -318,87 +297,70 @@ class QueryEngine:
 
     # -- decomposition ------------------------------------------------------
 
-    def _resolve(
-        self, root: int, targets: tuple[str, ...], trace: list[TraceEvent] | None
-    ) -> Factor:
-        """Answer ``targets`` at clique ``root`` from the tables of its subtree.
+    def _resolve(self, tg: tuple[str, ...], trace: list[TraceEvent] | None) -> Factor:
+        """P(targets | evidence), a product over the components holding targets.
 
-        Depth first over an explicit stack of open visits, so tree depth is
-        bounded by memory, not by the interpreter's recursion limit.  Visits
-        open, and emit their trace events, in the pre-order of a recursive
-        descent; each child answer is multiplied in as it completes.
+        A query visits the owner of each target and the owner's ancestors,
+        the walk the refresh makes, and a visited clique is asked for the
+        targets whose owners lie in its subtree.  The look-up runs in
+        pre-order, the order a recursive descent opens its visits and emits
+        their trace events; a cache hit answers its whole subtree, so the
+        cliques below it are not visited.  The misses are then computed in
+        reverse, children first: the live conditional times the asked
+        children's answers in ascending rank, with the residual names that
+        are not targets summed away.  Both passes are loops, so tree depth
+        is bounded by memory, not by the interpreter's recursion limit.
         """
-        stack: list[_Visit] = []
-        answer = self._open(root, targets, trace, stack)
-        while stack:
-            visit = stack[-1]
-            if answer is not None:
-                visit.product = multiply(visit.product, answer, self._counters)
-            if visit.pending:
-                ch, sub = visit.pending.pop()
-                answer = self._open(ch, sub, trace, stack)
+        tree, cache, counters = self.tree, self._cache, self._counters
+        asked: dict[int, list[str]] = {}
+        for t in tg:
+            for cid in _up_from(tree, tree.owner[t]):
+                asked.setdefault(cid, []).append(t)
+        answers: dict[int, Factor] = {}
+        missed: dict[int, tuple[tuple[int, frozenset[str]], list[int], list[str]]] = {}
+        for cid in sorted(asked, key=tree.first.__getitem__):
+            clique = tree.cliques[cid]
+            if clique.parent is not None and clique.parent not in missed:
+                continue  # an ancestor was answered from the cache
+            targets = tuple(asked[cid])
+            key = (cid, frozenset(targets))
+            if self.cache_enabled and key in cache:
+                counters.cache_hits += 1
+                answers[cid] = cache[key]
+                if trace is not None:
+                    trace.append(
+                        TraceEvent(cid, targets, clique.separator, (), "cache")
+                    )
                 continue
-            stack.pop()
-            answer = visit.product
-            if visit.sum_away:
-                answer = sum_out(answer, visit.sum_away, self._counters)
             if self.cache_enabled:
-                self._cache[visit.key] = answer
-        return answer
-
-    def _open(
-        self,
-        cid: int,
-        targets: tuple[str, ...],
-        trace: list[TraceEvent] | None,
-        stack: list[_Visit],
-    ) -> Factor | None:
-        """Start a visit: the cached answer, or None after pushing the visit."""
-        tree = self.tree
-        key = (cid, frozenset(targets))
-        clique = tree.cliques[cid]
-        if self.cache_enabled and key in self._cache:
-            self._counters.cache_hits += 1
+                counters.cache_misses += 1
+            kids = [ch for ch in tree.children[cid] if ch in asked]  # ascending rank
+            names = self._live[cid].conditional.names
+            sum_away = [r for r in clique.residual if r in names and r not in tg]
+            missed[cid] = (key, kids, sum_away)
             if trace is not None:
-                trace.append(
-                    TraceEvent(cid, targets, clique.separator, (), "cache")
+                requests = tuple(
+                    (ch, tuple(asked[ch]), tree.cliques[ch].separator) for ch in kids
                 )
-            return self._cache[key]
-        if self.cache_enabled:
-            self._counters.cache_misses += 1
-
-        members = clique.member_set
-        residual = set(clique.residual)
-        separator = set(clique.separator)
-        in_separator = [t for t in targets if t in separator]
-        if in_separator:
-            raise QueryError(
-                f"routing bug: targets {in_separator} lie in the separator "
-                f"of clique {tree.label(cid)}"
-            )
-        local = [t for t in targets if t in residual]
-        first, owner = tree.first, tree.owner
-        remote = [(t, first[owner[t]]) for t in targets if t not in members]
-
-        requests: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
-        for ch in tree.children[cid]:
-            lo, hi = first[ch], tree.last[ch]
-            sub = tuple(t for t, at in remote if lo <= at <= hi)
-            if sub:
-                requests.append((ch, sub, tree.cliques[ch].separator))
-
-        conditional = self._live[cid].conditional
-        sum_away = [
-            r for r in clique.residual if r in conditional.names and r not in local
-        ]
-        resolution = "stored" if not requests and not sum_away else "computed"
-        if trace is not None:
-            trace.append(
-                TraceEvent(cid, targets, clique.separator, tuple(requests), resolution)
-            )
-        pending = [(ch, sub) for ch, sub, _sep in reversed(requests)]
-        stack.append(_Visit(key, pending, conditional, sum_away))
-        return None
+                resolution = "stored" if not kids and not sum_away else "computed"
+                trace.append(
+                    TraceEvent(cid, targets, clique.separator, requests, resolution)
+                )
+        for cid in reversed(missed):
+            key, kids, sum_away = missed[cid]
+            answer = self._live[cid].conditional
+            for ch in kids:
+                answer = multiply(answer, answers[ch], counters)
+            if sum_away:
+                answer = sum_out(answer, sum_away, counters)
+            if self.cache_enabled:
+                cache[key] = answer
+            answers[cid] = answer
+        parts = [answers[root] for root in tree.roots if root in asked]
+        answer = parts[0]
+        for part in parts[1:]:
+            answer = multiply(answer, part, counters)
+        return answer
 
     # -- validation ---------------------------------------------------------
 
@@ -415,3 +377,10 @@ class QueryEngine:
                     f"{name!r} is observed; retract it to query its distribution"
                 )
         return tg
+
+
+def _up_from(tree: CliqueTree, cid: int | None) -> Iterator[int]:
+    """``cid`` and its ancestors, nearest first."""
+    while cid is not None:
+        yield cid
+        cid = tree.cliques[cid].parent

@@ -189,11 +189,6 @@ def unit_factor() -> Factor:
     return Factor((), [1.0])
 
 
-def ones_factor(scope: Sequence[Variable]) -> Factor:
-    scope = tuple(scope)
-    return Factor(scope, np.ones(tuple(v.cardinality for v in scope)))
-
-
 def _check_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise ValueError("factor values must be finite")

@@ -33,28 +33,15 @@ ROW_WARN_TOLERANCE = 1e-6
 
 
 def load_network(
-    text_or_path: str | Path,
+    path: str | Path,
     warn: Callable[[str], None] | None = None,
 ) -> BayesianNetwork:
-    """Parse and validate a network document from a path or literal text.
+    """Read, parse and validate the network document at ``path``.
 
     ``warn`` receives human-readable renormalization notices; it defaults
-    to discarding them.
+    to discarding them.  ``parse_network`` takes the document's text.
     """
-    if isinstance(text_or_path, Path):
-        text = text_or_path.read_text()
-    elif "\n" not in text_or_path and _is_file(text_or_path):
-        text = Path(text_or_path).read_text()
-    else:
-        text = text_or_path
-    return parse_network(text, warn=warn)
-
-
-def _is_file(candidate: str) -> bool:
-    try:
-        return Path(candidate).is_file()
-    except (OSError, ValueError):
-        return False
+    return parse_network(Path(path).read_text(), warn=warn)
 
 
 def _tokens(text: str):

@@ -24,7 +24,6 @@ from .factors import (
     OpCounters,
     _check_finite,
     multiply,
-    ones_factor,
     sum_out,
 )
 from .network import BayesianNetwork
@@ -79,7 +78,9 @@ def compute_potentials(
     assigned = _assigned_by_clique(tree, assignment)
     potentials: dict[int, Factor] = {}
     for c in tree.cliques:
-        pot = ones_factor(tuple(bn.var(n) for n in c.members))
+        scope = tuple(bn.var(n) for n in c.members)
+        ones = np.ones(tuple(v.cardinality for v in scope))
+        pot = Factor._trusted(scope, c.members, ones)
         for name in assigned[c.id]:
             pot = multiply(pot, bn.cpt(name))
         potentials[c.id] = pot

@@ -45,6 +45,19 @@ def random_network(rng, n_vars, max_parents=3, deterministic_share=0.1):
     return BayesianNetwork(variables, parents, cpts)
 
 
+def random_forest(rng, n_vars):
+    """Two random networks side by side, the second's names lowercased."""
+    first, second = random_network(rng, n_vars), random_network(rng, n_vars)
+    lower = {v.name: Variable(v.name.lower(), v.states) for v in second.variables}
+    variables = list(first.variables) + list(lower.values())
+    parents, cpts = dict(first.parents), dict(first.cpts)
+    for name, var in lower.items():
+        parents[var.name] = tuple(lower[p].name for p in second.parents[name])
+        cpt = second.cpt(name)
+        cpts[var.name] = Factor([lower[v.name] for v in cpt.scope], cpt.values)
+    return BayesianNetwork(variables, parents, cpts)
+
+
 def chain_network(n_vars, seed=7):
     """N00 -> N01 -> ... -> N{n-1}, binary, random smooth CPTs."""
     rng = np.random.default_rng(seed)

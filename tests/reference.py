@@ -5,7 +5,9 @@ looked up cell by cell, so they share no indexing or broadcasting
 machinery with the array implementation they check.  The compile-stage
 references are the direct quadratic algorithms: min-fill that re-scores
 every remaining vertex at every step, maximum-cardinality search that
-scans every vertex, and clique harvesting by pairwise subset tests.
+scans every vertex, and clique harvesting by pairwise subset tests.  The
+query trace reference is a plain recursive descent that routes targets by
+the variables each child's subtree holds.
 """
 
 from itertools import product
@@ -149,3 +151,52 @@ def ref_mcs_numbering(g, priority):
             if n not in numbered:
                 counts[n] += 1
     return numbered
+
+
+# -- query decomposition ------------------------------------------------------
+
+
+def ref_trace(tree, cached_keys, targets):
+    """Trace events of a recursive descent, without evidence.
+
+    Each event is (clique id, targets, separator, requests, resolution),
+    the fields of an engine ``TraceEvent``.  A component is entered at its
+    root with the targets its cliques hold, in request order.  A clique
+    whose (id, target set) key is in ``cached_keys`` is answered there;
+    otherwise every target outside it is requested from the child whose
+    subtree holds it, children in ascending rank, and a clique with no
+    requests whose residual names are all targets is answered from its
+    stored conditional.
+    """
+
+    def below(cid):
+        names = set(tree.cliques[cid].members)
+        for ch in tree.children[cid]:
+            names |= below(ch)
+        return names
+
+    events = []
+
+    def visit(cid, asked):
+        clique = tree.cliques[cid]
+        if (cid, frozenset(asked)) in cached_keys:
+            events.append((cid, asked, clique.separator, (), "cache"))
+            return
+        requests = []
+        for ch in tree.children[cid]:
+            held = below(ch)
+            sub = tuple(t for t in asked if t not in clique.members and t in held)
+            if sub:
+                requests.append((ch, sub, tree.cliques[ch].separator))
+        stored = not requests and set(clique.residual) <= set(asked)
+        resolution = "stored" if stored else "computed"
+        events.append((cid, asked, clique.separator, tuple(requests), resolution))
+        for ch, sub, _sep in requests:
+            visit(ch, sub)
+
+    for root in tree.roots:
+        held = below(root)
+        asked = tuple(t for t in targets if t in held)
+        if asked:
+            visit(root, asked)
+    return events

@@ -51,7 +51,6 @@ PUBLIC_NAMES = [
     "multiply",
     "node_marginals",
     "normalize_conditional",
-    "ones_factor",
     "oracle_query",
     "order_cliques",
     "parse_network",

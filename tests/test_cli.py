@@ -56,6 +56,42 @@ def test_trace_golden():
     assert trace == GOLDEN_TRACE_TEXT
 
 
+MIXED_NAMES = """\
+bnet 1
+var A yes no
+var B yes no
+var Cx yes no
+cpt A
+  0.4 0.6
+cpt B | A
+  0.1 0.9
+  0.7 0.3
+cpt Cx | B
+  0.2 0.8
+  0.5 0.5
+"""
+
+
+def test_names_join_by_one_rule_across_the_network(tmp_path):
+    # one name longer than a character puts commas in every list
+    path = tmp_path / "mixed.net"
+    path.write_text(MIXED_NAMES)
+    code, out, err = run([str(path), "compile"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "compiled: 2 cliques, 0 fill edges\n"
+        "(A,B) root\n"
+        "(B,Cx) <- (A,B) separator {B}\n"
+    )
+    code, out, err = run([str(path), "query", "P(A,Cx)", "--trace"])
+    assert (code, err) == (0, "")
+    trace = [line for line in out.splitlines() if line.startswith("(")]
+    assert trace == [
+        "(A,B): received P(A,Cx); requests P(Cx|B) from (B,Cx)",
+        "(B,Cx): received P(Cx|B); answered from stored conditional",
+    ]
+
+
 def test_trace_is_byte_deterministic():
     argv = ["--order", ORDER, ASIA]
     script = "query P(A,X,S) --trace\nquery P(X,S) --trace\n"

@@ -21,7 +21,14 @@ from bnquery import (
     sum_out,
     unit_factor,
 )
-from corpus import chain_network, random_network, star_parents, structure_network
+from corpus import (
+    chain_network,
+    random_forest,
+    random_network,
+    star_parents,
+    structure_network,
+)
+from reference import ref_trace
 
 
 def engine_for(seed, n=8, **kwargs):
@@ -93,6 +100,40 @@ def test_leaf_requests_resolve_from_stored_conditionals(asia_engine):
     assert kinds[frozenset("BLS")] == "stored"
     assert kinds[frozenset("EX")] == "stored"
     assert kinds[frozenset("EBD")] == "computed"
+
+
+def test_traces_match_a_recursive_descent():
+    # cold and warm, on networks and two-component forests: each query's
+    # events are a recursive descent's, given the cache keys before it
+    mid_tree_hits = cross_component_hits = out_of_rank = 0
+    for seed in range(12):
+        rng = np.random.default_rng(500 + seed)
+        bn = random_forest(rng, 8) if seed % 2 else random_network(rng, 12)
+        for cache_enabled in (False, True):
+            engine = QueryEngine(bn, cache_enabled=cache_enabled)
+            tree, asked = engine.tree, set()
+            for _ in range(40):
+                k = int(rng.integers(1, 4))
+                targets = tuple(str(t) for t in rng.choice(bn.names, k, replace=False))
+                if frozenset(targets) in asked:
+                    continue  # the whole-query memo answers a repeat
+                asked.add(frozenset(targets))
+                cached = set(engine._cache)
+                trace = []
+                engine.query_joint(targets, trace=trace)
+                got = [
+                    (e.clique_id, e.targets, e.separator, e.requests, e.resolution)
+                    for e in trace
+                ]
+                assert got == ref_trace(tree, cached, targets)
+                hits = [e.clique_id for e in trace if e.resolution == "cache"]
+                roots = {tree.root_of[e.clique_id] for e in trace}
+                visited = [e.clique_id for e in trace]
+                out_of_rank += visited != sorted(visited)
+                mid_tree_hits += any(tree.cliques[c].parent is not None for c in hits)
+                cross_component_hits += bool(hits) and len(roots) > 1
+    # some descents visit cliques out of rank order
+    assert mid_tree_hits and cross_component_hits and out_of_rank
 
 
 def _compare_on_possible_contexts(engine, asia_joint, members, targets, given):
@@ -364,6 +405,20 @@ def test_transient_evidence_is_applied_then_retracted(asia_bn, asia_joint):
     # stored tables are back to the pristine objects
     for cid, st in engine.prep.items():
         assert engine.stored_conditional(cid) is st.conditional
+
+
+def test_a_conflicting_transient_finding_changes_nothing(asia_engine):
+    asia_engine.observe("E", 0)
+    asia_engine.evidence_probability()
+    with pytest.raises(EvidenceError):
+        asia_engine.query_conditional(["X"], transient_evidence=[("E", 1)])
+    with pytest.raises(bnquery.BadStateError):
+        asia_engine.query_conditional(["X"], transient_evidence=[("E", 2)])
+    assert asia_engine.evidence == {"E": 0}
+    assert asia_engine._pending == set()
+    # a transient finding that repeats a standing one is not retracted after
+    asia_engine.query_conditional(["X"], transient_evidence=[("E", 0)])
+    assert asia_engine.evidence == {"E": 0}
 
 
 def test_evidence_order_invariance():
@@ -737,3 +792,16 @@ def test_engine_validates_no_factor_after_set_up(asia_bn, monkeypatch):
     bnquery.unit_factor()
     assert len(calls) == 1  # the count does see the public constructor
 
+
+def test_building_an_engine_validates_no_factor(monkeypatch):
+    bn = bnquery.load_network(bnquery.asia_path())
+    calls = []
+    validate = bnquery.Factor.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(bnquery.Factor, "__init__", counting)
+    QueryEngine(bn)
+    assert calls == []

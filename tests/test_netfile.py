@@ -21,6 +21,13 @@ def test_minimal_file_loads_and_answers():
     assert list(ans.flat) == [0.25, 0.75]
 
 
+def test_a_missing_path_is_not_read_as_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for path in ("typo.net", tmp_path / "typo.net"):
+        with pytest.raises(FileNotFoundError):
+            bnquery.load_network(path)
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# hello\n\nbnet 1\n\nvar a x y  # trailing\ncpt a\n 0.5 0.5\n"
     bn = parse_network(text)

@@ -27,6 +27,7 @@ from corpus import (
     random_network,
     star_parents,
     structure_network,
+    windowed_parents,
 )
 from reference import ref_trace
 
@@ -573,6 +574,35 @@ def test_writes_apply_at_the_next_read(asia_engine):
     assert asia_engine._pending == set()
 
 
+@pytest.mark.parametrize("undo", ["failed what-if", "observe then retract", "re-observe"])
+def test_writes_that_undo_each_other_cost_nothing(asia_engine, undo):
+    # the next read compares each written name with the state the live
+    # tables hold for it, and refreshes only the names that differ
+    asia_engine.observe("E", 0)
+    asia_engine.observe("B", 1)
+    asia_engine.evidence_probability()
+    tables = {cid: asia_engine.stored_conditional(cid) for cid in asia_engine.prep}
+    before = asia_engine.op_counters()
+    if undo == "failed what-if":
+        with pytest.raises(EvidenceError):
+            asia_engine.query_conditional(
+                ["X"], transient_evidence=[("S", 1), ("E", 1)]
+            )
+    elif undo == "observe then retract":
+        asia_engine.observe("X", 1)
+        asia_engine.retract("X")
+    else:
+        asia_engine.retract("B")
+        asia_engine.observe("B", 1)
+    asia_engine.evidence_probability()
+    after = asia_engine.op_counters()
+    assert after.multiplications == before.multiplications
+    assert after.summations == before.summations
+    assert after.substitutions == before.substitutions
+    for cid, table in tables.items():
+        assert asia_engine.stored_conditional(cid) is table
+
+
 def test_observing_every_leaf_of_a_deep_star_is_linear():
     # the 600 cliques of a star form a path 599 deep; findings on every leaf
     # refresh it once, at the read, two multiplications per clique
@@ -677,6 +707,67 @@ def test_cache_disabled_engine_matches_cell_for_cell():
             b = uncached.query_joint(targets)
             assert a.names == b.names
             assert np.array_equal(a.values, b.values)
+
+
+def test_an_answer_over_all_of_a_querys_targets_is_not_cached(asia_engine):
+    # the parts kept are what makes the overlapping query cheaper, which
+    # test_overlapping_query_reuses_subtree_work and criterion 6 check
+    asia_engine.query_joint(["A", "X", "S"])
+    by_members = {c.member_set: c.id for c in asia_engine.tree.cliques}
+    assert not any(k[1] == frozenset("AXS") for k in asia_engine._cache)
+    for members, targets in (("LEB", "XS"), ("BED", "X"), ("EX", "X")):
+        key = (by_members[frozenset(members)], frozenset(targets))
+        assert key in asia_engine._cache
+
+
+def test_multi_target_stream_caches_no_whole_query_answer():
+    # distinct 2- and 3-target queries with writes between them, on a
+    # windowed DAG deep enough for targets to share many ancestors
+    shape = structure_network(windowed_parents(120, seed=3))
+    rng = np.random.default_rng(120)
+    cpts = {}
+    for name in shape.names:
+        scope = [shape.var(p) for p in shape.parents[name]] + [shape.var(name)]
+        p = rng.uniform(0.1, 0.9, size=[2] * (len(scope) - 1))
+        cpts[name] = bnquery.Factor(scope, np.stack([p, 1 - p], axis=-1))
+    bn = bnquery.BayesianNetwork(shape.variables, shape.parents, cpts)
+    cached = QueryEngine(bn)
+    uncached = QueryEngine(bn, cache_enabled=False)
+    names = list(bn.names)
+    asked: set[frozenset[str]] = set()
+    while len(asked) < 60:
+        if len(asked) % 7 == 6:
+            observed = cached.evidence
+            if observed and rng.random() < 0.5:
+                name = sorted(observed)[int(rng.integers(len(observed)))]
+                cached.retract(name)
+                uncached.retract(name)
+            else:
+                name = names[int(rng.integers(len(names)))]
+                if name not in observed:
+                    state = int(rng.integers(2))
+                    cached.observe(name, state)
+                    uncached.observe(name, state)
+        free = [n for n in names if n not in cached.evidence]
+        k = int(rng.integers(2, 4))
+        if rng.random() < 0.7:  # local: targets within a window share cliques
+            lo = int(rng.integers(len(free) - 8))
+            picks = rng.choice(8, size=k, replace=False) + lo
+        else:
+            picks = rng.choice(len(free), size=k, replace=False)
+        targets = [free[int(i)] for i in picks]
+        if frozenset(targets) in asked:
+            continue
+        asked.add(frozenset(targets))
+        keys = set(cached._cache)
+        a = cached.query_joint(targets)
+        b = uncached.query_joint(targets)
+        assert a.names == b.names
+        assert np.array_equal(a.values, b.values)
+        # an earlier, larger query may have cached a part over these targets
+        added = set(cached._cache) - keys
+        assert not any(k[1] == frozenset(targets) for k in added)
+    assert cached.op_counters().cache_hits > 0
 
 
 def test_cached_answers_survive_unrelated_evidence(asia_engine):

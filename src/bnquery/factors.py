@@ -12,8 +12,10 @@ any number of readers.
 
 A factor is validated once, where it enters the system: the public
 ``Factor(...)`` constructor checks the scope for duplicate names and the
-values for shape, finiteness and sign, and network construction and the
-file loader build their tables through it.  The primitives below build
+values for shape, finiteness and sign, and networks built by hand pass
+their tables through it.  The file loader checks every number of a
+document in bulk, with errors that name the line, and wraps the checked
+tables with ``Factor._trusted``.  The primitives below build
 their results through the private ``Factor._trusted``, which skips those
 checks: a scope derived from a duplicate-free one stays duplicate-free,
 and slicing, transposing, products, sums and normalization of

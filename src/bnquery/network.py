@@ -56,10 +56,16 @@ class BayesianNetwork:
         self._check_acyclic()
 
         self.cpts: dict[str, Factor] = {}
+        problem = None
         for name in names:
-            if name not in cpts:
-                raise InvalidNetworkError(f"no CPT for variable {name!r}")
-            self.cpts[name] = self._check_cpt(name, cpts[name])
+            problem = self._cpt_problem(name, cpts)
+            if problem is not None:
+                break
+            self.cpts[name] = cpts[name]
+        # a bad row in a CPT declared before the first bad scope is reported first
+        self._check_rows()
+        if problem is not None:
+            raise InvalidNetworkError(problem)
         unknown = set(cpts) - set(names)
         if unknown:
             raise InvalidNetworkError(f"CPTs given for unknown variables {sorted(unknown)}")
@@ -71,33 +77,55 @@ class BayesianNetwork:
             for p in ps:
                 children[p].append(name)
         queue = [v.name for v in self.variables if pending[v.name] == 0]
-        seen = 0
-        while queue:
-            name = queue.pop(0)
-            seen += 1
+        for name in queue:  # the loop reaches what it appends
             for c in children[name]:
                 pending[c] -= 1
                 if pending[c] == 0:
                     queue.append(c)
-        if seen != len(self.variables):
+        if len(queue) != len(self.variables):
             stuck = sorted(n for n, k in pending.items() if k > 0)
             raise InvalidNetworkError(f"parent relation is cyclic (involves {stuck})")
 
-    def _check_cpt(self, name: str, cpt: Factor) -> Factor:
+    def _cpt_problem(self, name: str, cpts: Mapping[str, Factor]) -> str | None:
+        """Why ``cpts`` cannot give ``name`` its CPT, or None if it can."""
+        if name not in cpts:
+            return f"no CPT for variable {name!r}"
         expected = tuple(self._by_name[p] for p in self.parents[name])
         expected += (self._by_name[name],)
-        if cpt.scope != expected:
-            raise InvalidNetworkError(
+        if cpts[name].scope != expected:
+            return (
                 f"CPT for {name!r} must have scope "
-                f"{[v.name for v in expected]}, got {list(cpt.names)}"
+                f"{[v.name for v in expected]}, got {list(cpts[name].names)}"
             )
-        row_sums = cpt.values.sum(axis=-1)
-        worst = float(np.max(np.abs(row_sums - 1.0))) if row_sums.size else 0.0
-        if worst > CPT_ROW_TOLERANCE:
+        return None
+
+    def _check_rows(self) -> None:
+        """Every row of every accepted CPT sums to 1 within the tolerance.
+
+        The rows of the CPTs whose child has ``k`` states are stacked and
+        summed by one reduction; the first failing CPT in declaration
+        order is named.
+        """
+        stacks: dict[int, list[str]] = {}
+        for name in self.cpts:
+            stacks.setdefault(self._by_name[name].cardinality, []).append(name)
+        failing = []
+        for card, names in stacks.items():
+            tables = [self.cpts[name].values.reshape(-1, card) for name in names]
+            with np.errstate(over="ignore"):  # an infinite sum fails the check
+                sums = np.concatenate(tables).sum(axis=1)
+            bad = np.flatnonzero(np.abs(sums - 1.0) > CPT_ROW_TOLERANCE)
+            if bad.size:
+                ends = np.cumsum([t.shape[0] for t in tables])
+                failing.append(names[int(np.searchsorted(ends, bad[0], side="right"))])
+        if failing:
+            name = min(failing, key=self._index.__getitem__)
+            with np.errstate(over="ignore"):
+                row_sums = self.cpts[name].values.sum(axis=-1)
+            worst = float(np.max(np.abs(row_sums - 1.0)))
             raise InvalidNetworkError(
                 f"CPT rows for {name!r} deviate from 1 by up to {worst:.3g}"
             )
-        return cpt
 
     # -- lookups ----------------------------------------------------------
 

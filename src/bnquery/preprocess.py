@@ -10,11 +10,20 @@ the query engine keeps these beside a live map of the same records and
 reruns the same step over the cliques a finding touches.  All
 multiplication orders are fixed (CPTs by variable name, child messages by
 child rank) so repeated runs are bit-identical.
+
+Both steps work on the arrays and build only the factors they return.  A
+potential is the broadcast product of its CPTs, with no ones table: a
+clique holding one CPT over its members in member order shares that
+CPT's table, and ones appear only on axes no CPT covers.  A collect step
+multiplies the child messages into the potential's own scope and checks
+finiteness once, on the sums it takes; the tables in between are never
+wrapped or checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +31,7 @@ from .cliquetree import Clique, CliqueTree
 from .factors import (
     Factor,
     OpCounters,
+    _aligned,
     _check_finite,
     multiply,
     sum_out,
@@ -74,16 +84,32 @@ def _assigned_by_clique(
 def compute_potentials(
     bn: BayesianNetwork, tree: CliqueTree, assignment: dict[str, int]
 ) -> dict[int, Factor]:
-    """Product of assigned CPTs per clique, extended to the full member scope."""
+    """Product of assigned CPTs per clique, extended to the full member scope.
+
+    The CPTs, aligned to the member order, are multiplied by broadcasting
+    in name order (no ones table: ``1.0 * x == x``, so the bits are those
+    of a ones table multiplied by each CPT in turn).  A clique holding one
+    CPT over its members in member order shares that CPT's table, and only
+    the axes that no CPT covers are filled, by repetition.
+    """
     assigned = _assigned_by_clique(tree, assignment)
+    cpts = bn.cpts
     potentials: dict[int, Factor] = {}
     for c in tree.cliques:
+        names = assigned[c.id]
+        if len(names) == 1:
+            cpt = cpts[names[0]]
+            # C order, as the reductions over a potential expect
+            if cpt.names == c.members and cpt.values.flags.c_contiguous:
+                potentials[c.id] = cpt
+                continue
         scope = tuple(bn.var(n) for n in c.members)
-        ones = np.ones(tuple(v.cardinality for v in scope))
-        pot = Factor._trusted(scope, c.members, ones)
-        for name in assigned[c.id]:
-            pot = multiply(pot, bn.cpt(name))
-        potentials[c.id] = pot
+        shape = tuple(v.cardinality for v in scope)
+        pos = {n: i for i, n in enumerate(c.members)}
+        tables = [_aligned(cpts[n].values, cpts[n].names, pos, len(shape)) for n in names]
+        values = reduce(np.multiply, tables) if tables else np.ones(())
+        values = np.ascontiguousarray(np.broadcast_to(values, shape))
+        potentials[c.id] = Factor._trusted(scope, c.members, values)
     return potentials
 
 
@@ -101,26 +127,36 @@ def collect_step(
     product summed over them.  One reduction serves both: the sums divide
     the product (0/0 := 0, as in ``normalize_conditional``) and, reshaped,
     are the message, counted as ``sum_out`` counts its summations.
+
+    A message's scope lies inside the potential's (a child's separator,
+    less its observed names, is inside the clique's members, less the
+    same names), so the product keeps the potential's scope and is formed
+    on the arrays.  Finiteness is checked once, on the sums: a product
+    cell that overflowed makes its sum infinite or NaN.
     """
-    product = potential
+    names = potential.names
+    pos = {n: i for i, n in enumerate(names)}
+    values = potential.values
     for message in messages:
-        product = multiply(product, message, counters)
+        aligned = _aligned(message.values, message.names, pos, len(pos))
+        values = np.asarray(values * aligned)
+        if counters is not None:
+            counters.multiplications += values.size
     residual = set(clique.residual)
-    values = product.values
-    axes = tuple(i for i, n in enumerate(product.names) if n in residual)
+    axes = tuple(i for i, n in enumerate(names) if n in residual)
     sums = values.sum(axis=axes, keepdims=True)
     conditional = np.divide(values, sums, out=np.zeros_like(values), where=sums != 0)
-    keep = [i for i, n in enumerate(product.names) if n not in residual]
+    keep = [i for i, n in enumerate(names) if n not in residual]
     total = sums.reshape([values.shape[i] for i in keep])
     if counters is not None:
         counters.summations += values.size - total.size
     _check_finite(total)
     return CliqueState(
         potential,
-        Factor._trusted(product.scope, product.names, conditional),
+        Factor._trusted(potential.scope, names, conditional),
         Factor._trusted(
-            tuple(product.scope[i] for i in keep),
-            tuple(product.names[i] for i in keep),
+            tuple(potential.scope[i] for i in keep),
+            tuple(names[i] for i in keep),
             total,
         ),
     )

@@ -1,4 +1,5 @@
-"""Independent references for checking the factor primitives and compile stages.
+"""Independent references for checking the loader, the factor primitives,
+the compile stages and preprocessing.
 
 The factor references work on plain dicts keyed by full assignments,
 looked up cell by cell, so they share no indexing or broadcasting
@@ -7,10 +8,27 @@ references are the direct quadratic algorithms: min-fill that re-scores
 every remaining vertex at every step, maximum-cardinality search that
 scans every vertex, and clique harvesting by pairwise subset tests.  The
 query trace reference is a plain recursive descent that routes targets by
-the variables each child's subtree holds.
+the variables each child's subtree holds.  The loader reference reads a
+document token by token and checks and renormalizes each CPT row by row,
+and the preprocessing reference multiplies a ones table by each CPT and
+the product by each child message through the public primitives.
 """
 
+import math
 from itertools import product
+
+import numpy as np
+
+from bnquery import (
+    BayesianNetwork,
+    Factor,
+    NetworkFormatError,
+    Variable,
+    multiply,
+    normalize_conditional,
+    substitute,
+    sum_out,
+)
 
 
 def assignments(scope):
@@ -200,3 +218,204 @@ def ref_trace(tree, cached_keys, targets):
         if asked:
             visit(root, asked)
     return events
+
+
+# -- loader -------------------------------------------------------------------
+
+
+def _ref_tokens(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        yield lineno, line.split()
+
+
+def ref_parse_network(text, warn=None):
+    """Token-by-token parse; each row checked and renormalized on its own.
+
+    The errors, their lines and order, and the warnings are the loader's
+    contract for every document this reference accepts or rejects.  A
+    negative or non-finite probability is outside it: this reference
+    rejects those through ``Factor`` or as a row without mass.
+    """
+    warn = warn or (lambda message: None)
+    lines = list(_ref_tokens(text))
+    if not lines:
+        raise NetworkFormatError("empty document; expected a 'bnet 1' header")
+    lineno, header = lines[0]
+    if header[:1] != ["bnet"] or len(header) != 2:
+        raise NetworkFormatError(
+            f"expected header 'bnet 1', got {' '.join(header)!r}", lineno
+        )
+    if header[1] != "1":
+        raise NetworkFormatError(f"unsupported format version {header[1]!r}", lineno)
+
+    variables = []
+    by_name = {}
+    parents = {}
+    raw_cpts = {}  # child -> (def line, numbers)
+    pending = None
+    pending_need = 0
+
+    def finish_pending(at_line):
+        nonlocal pending
+        if pending is None:
+            return
+        got = len(raw_cpts[pending][1])
+        if got != pending_need:
+            raise NetworkFormatError(
+                f"CPT for {pending!r} needs {pending_need} probabilities, got {got}",
+                at_line,
+            )
+        pending = None
+
+    for lineno, toks in lines[1:]:
+        key = toks[0]
+        if key == "var":
+            finish_pending(lineno)
+            if len(toks) < 3:
+                raise NetworkFormatError(
+                    "var needs a name and at least one state label", lineno
+                )
+            name = toks[1]
+            if name in by_name:
+                raise NetworkFormatError(f"variable {name!r} declared twice", lineno)
+            try:
+                v = Variable(name, tuple(toks[2:]))
+            except ValueError as exc:
+                raise NetworkFormatError(str(exc), lineno) from None
+            variables.append(v)
+            by_name[name] = v
+        elif key == "cpt":
+            finish_pending(lineno)
+            body = toks[1:]
+            if "|" in body:
+                bar = body.index("|")
+                child, plist = body[:bar], tuple(body[bar + 1:])
+            else:
+                child, plist = body, ()
+            if len(child) != 1:
+                raise NetworkFormatError(
+                    "cpt needs exactly one child name before '|'", lineno
+                )
+            child = child[0]
+            if child not in by_name:
+                raise NetworkFormatError(
+                    f"cpt references undeclared variable {child!r}", lineno
+                )
+            for p in plist:
+                if p not in by_name:
+                    raise NetworkFormatError(
+                        f"cpt for {child!r} references undeclared parent {p!r}", lineno
+                    )
+            if child in raw_cpts:
+                raise NetworkFormatError(f"duplicate cpt for {child!r}", lineno)
+            parents[child] = plist
+            need = by_name[child].cardinality
+            for p in plist:
+                need *= by_name[p].cardinality
+            raw_cpts[child] = (lineno, [])
+            pending = child
+            pending_need = need
+        else:
+            if pending is None:
+                raise NetworkFormatError(
+                    f"expected 'var' or 'cpt', got {key!r}", lineno
+                )
+            numbers = raw_cpts[pending][1]
+            for tok in toks:
+                try:
+                    numbers.append(float(tok))
+                except ValueError:
+                    raise NetworkFormatError(
+                        f"expected a probability, got {tok!r}", lineno
+                    ) from None
+                if len(numbers) > pending_need:
+                    raise NetworkFormatError(
+                        f"CPT for {pending!r} has more than "
+                        f"{pending_need} probabilities",
+                        lineno,
+                    )
+    finish_pending(lines[-1][0])
+
+    missing = [v.name for v in variables if v.name not in raw_cpts]
+    if missing:
+        raise NetworkFormatError(f"no cpt block for {missing}")
+
+    cpts = {}
+    for v in variables:
+        name = v.name
+        defline, numbers = raw_cpts[name]
+        scope = tuple(by_name[p] for p in parents[name]) + (v,)
+        table = np.array(numbers, dtype=float).reshape(
+            tuple(u.cardinality for u in scope)
+        )
+        rows = table.reshape(-1, v.cardinality)
+        for r in range(rows.shape[0]):
+            s = rows[r].sum()
+            if s <= 0 or not math.isfinite(s):
+                raise NetworkFormatError(
+                    f"CPT row {r} for {name!r} has no probability mass", defline
+                )
+            if abs(s - 1.0) > 1e-6:
+                warn(f"CPT row {_ref_row_label(name, parents[name], by_name, r)} "
+                     f"sums to {s:.6g}; renormalized")
+            rows[r] /= s
+        cpts[name] = Factor(scope, table)
+    return BayesianNetwork(variables, parents, cpts)
+
+
+def _ref_row_label(child, plist, by_name, row):
+    if not plist:
+        return f"for {child!r}"
+    labels = []
+    for p in reversed(plist):
+        card = by_name[p].cardinality
+        labels.append((p, by_name[p].states[row % card]))
+        row //= card
+    inside = ", ".join(f"{p}={s}" for p, s in reversed(labels))
+    return f"for {child!r} ({inside})"
+
+
+# -- preprocessing --------------------------------------------------------------
+
+
+def ref_compute_potentials(bn, tree, assignment):
+    """A ones table over each clique's members, times its CPTs in name order."""
+    potentials = {}
+    for c in tree.cliques:
+        scope = [bn.var(n) for n in c.members]
+        pot = Factor(scope, np.ones([v.cardinality for v in scope]))
+        for name in sorted(n for n, cid in assignment.items() if cid == c.id):
+            pot = multiply(pot, bn.cpt(name))
+        potentials[c.id] = pot
+    return potentials
+
+
+def ref_sliced(tree, potentials, evidence):
+    """Each potential with the observed members substituted, in member order."""
+    out = {}
+    for c in tree.cliques:
+        pot = potentials[c.id]
+        for name in c.members:
+            if name in evidence:
+                pot = substitute(pot, name, evidence[name])
+        out[c.id] = pot
+    return out
+
+
+def ref_collect(tree, potentials):
+    """clique id -> (conditional, message), children first, one multiply per
+    child message, then a normalization and a sum over the residual."""
+    records = {}
+    for c in reversed(tree.cliques):
+        product = potentials[c.id]
+        for ch in tree.children[c.id]:
+            product = multiply(product, records[ch][1])
+        residual = [n for n in c.residual if n in product.names]
+        records[c.id] = (
+            normalize_conditional(product, residual),
+            sum_out(product, residual),
+        )
+    return records

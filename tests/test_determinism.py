@@ -1,4 +1,4 @@
-"""Bit-identical trees, traces and answers across processes.
+"""Bit-identical CPTs, trees, records, traces and answers across processes.
 
 Python salts str hashing per process (``PYTHONHASHSEED``), so any result
 that depends on set or dict iteration order over names would differ
@@ -21,15 +21,23 @@ import hashlib
 
 import numpy as np
 
-from bnquery import QueryEngine
+from bnquery import QueryEngine, dump_network, parse_network
 from corpus import random_network
 
 h = hashlib.sha256()
 for seed in range(40):
     rng = np.random.default_rng(seed)
     bn = random_network(rng, 12)
+    parsed = parse_network(dump_network(bn))
+    for name in parsed.names:
+        h.update(parsed.cpt(name).values.tobytes())
     engine = QueryEngine(bn)
     h.update(repr(engine.tree.cliques).encode())
+    for cid in sorted(engine.prep):
+        st = engine.prep[cid]
+        for table in (st.potential, st.conditional, st.message):
+            h.update(repr(table.names).encode())
+            h.update(table.values.tobytes())
     names = bn.names
     engine.observe(names[0], 1)
     for targets in ([names[1], names[5]], [names[11]], names[3:10:3]):

@@ -1,10 +1,16 @@
 """Network document parsing, validation errors, round-tripping."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnquery
 from bnquery import NetworkFormatError, dump_network, parse_network
+from corpus import random_network
+from reference import ref_parse_network
 
 MINIMAL = """\
 bnet 1
@@ -118,3 +124,150 @@ def test_asia_fixture_compiles_to_the_six_cliques(asia_bn):
     assert {c.member_set for c in tree.cliques} == {
         frozenset(s) for s in ("AT", "TLE", "LEB", "BLS", "EBD", "EX")
     }
+
+
+def test_bad_numbers_are_typed_and_located():
+    text = "bnet 1\nvar a x y\ncpt a\n-0.5 1.5\n"
+    error = expect_error(text, "expected a nonnegative probability, got '-0.5'", 4)
+    assert "'a'" in str(error)
+    assert isinstance(error, bnquery.InferenceError)
+    head = "bnet 1\nvar a x y\nvar b u v\ncpt a\n0.5 0.5\ncpt b | a\n0.5 0.5\n0.5\n"
+    for tok in ("inf", "nan", "1e400", "-inf", "Infinity"):
+        text = head + f"{tok}  # wrapped\n"
+        error = expect_error(text, f"expected a finite probability, got {tok!r}", 9)
+        assert "'b'" in str(error)
+    # the first bad number in the document is the one reported
+    expect_error(head.replace("0.5 0.5\n0.5\n", "0.5 -1\n0.5\n") + "nan\n", "'-1'", 7)
+
+
+# -- the loader against the token-by-token reference ----------------------------
+
+
+def _document(bn, rng, mutation=None):
+    """``bn`` as text: rows scaled off by up to 1e-3, numbers wrapped across
+    lines, comments and blank lines, CPT blocks in shuffled order.  A
+    mutation breaks one block: a bad token, a number too many or too few,
+    a zero row, or an undeclared name."""
+    out = ["# generated", "bnet 1", ""]
+    for v in bn.variables:
+        out.append("var " + " ".join((v.name,) + v.states))
+        if rng.random() < 0.2:
+            out[-1] += "  # declared"
+    names = list(bn.names)
+    rng.shuffle(names)
+    broken = names[int(rng.integers(len(names)))]
+    for name in names:
+        card = bn.var(name).cardinality
+        rows = bn.cpt(name).values.reshape(-1, card)
+        scales = np.where(rng.random(len(rows)) < 0.5, 1.0,
+                          1.0 + rng.uniform(-1e-3, 1e-3, len(rows)))
+        toks = [repr(float(x)) for x in (rows * scales[:, None]).ravel()]
+        head = ["cpt", name]
+        if bn.parents[name]:
+            head += ["|", *bn.parents[name]]
+        if name == broken:
+            at = int(rng.integers(len(toks)))
+            if mutation == "bad token":
+                toks.insert(int(rng.integers(len(toks) + 1)), "0.5x")
+            elif mutation == "too many":
+                toks.append("0.25")
+            elif mutation == "too few":
+                del toks[at]
+            elif mutation == "zero row":
+                row = at // card
+                toks[row * card:(row + 1) * card] = ["0"] * card
+            elif mutation == "undeclared name":
+                named = [i for i, t in enumerate(head) if i and t != "|"]
+                head[int(rng.choice(named))] = "ZZ"
+        out += ["", " ".join(head)]
+        while toks:
+            k = int(rng.integers(1, 2 * card + 1))
+            out.append("  " + " ".join(toks[:k]))
+            toks = toks[k:]
+            if rng.random() < 0.1:
+                out.append("# between rows" if rng.random() < 0.5 else "")
+    return "\n".join(out) + "\n"
+
+
+def _outcome(parse, text):
+    warnings = []
+    try:
+        bn = parse(text, warn=warnings.append)
+    except Exception as exc:  # the outcome compared is the error itself
+        return warnings, (type(exc), str(exc), getattr(exc, "line", None))
+    return warnings, bn
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        [None, "bad token", "too many", "too few", "zero row", "undeclared name"]
+    ),
+)
+def test_loader_matches_the_token_by_token_reference(seed, mutation):
+    rng = np.random.default_rng(seed)
+    text = _document(random_network(rng, int(rng.integers(1, 10))), rng, mutation)
+    got_warnings, got = _outcome(parse_network, text)
+    want_warnings, want = _outcome(ref_parse_network, text)
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, bnquery.BayesianNetwork)
+    assert got.names == want.names and got.parents == want.parents
+    for name in want.names:
+        assert got.cpt(name).names == want.cpt(name).names
+        assert got.cpt(name).values.tobytes() == want.cpt(name).values.tobytes()
+
+
+def test_loader_matches_the_reference_on_wide_rows():
+    # rows of 13 states and two cardinalities in one document: each row sum
+    # is one pairwise sum, whether taken alone or in a stacked reduction
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(0.01, 1.0, size=(3, 13))
+    numbers = "\n".join(" ".join(repr(float(x)) for x in row) for row in rows)
+    states = " ".join(f"s{i}" for i in range(13))
+    text = (
+        f"bnet 1\nvar a x y z\nvar b {states}\n"
+        f"cpt b | a\n{numbers}\ncpt a\n0.2 0.3 0.5001\n"
+    )
+    got_warnings, got = _outcome(parse_network, text)
+    want_warnings, want = _outcome(ref_parse_network, text)
+    assert got_warnings == want_warnings and len(want_warnings) == 4
+    for name in "ab":
+        assert got.cpt(name).values.tobytes() == want.cpt(name).values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "bnet 1\n",
+        "bnet 1\n0.5 0.5\n",
+        "bnet 1\nvar a x y\n0.5 0.5\n",
+        "bnet 1\nvar a x y\ncpt a\n0.5 0.5\nvar b u v\n0.5 0.5\ncpt b\n1 0\n",
+        "bnet 1\nvar a x y\ncpt a\nvar b u v\ncpt b\n1 0\n",
+        "bnet 1\nvar a x y\ncpt a\n0.5\n0.5 x\n",
+        "bnet 1\nvar a x y\ncpt a\n0.5 0.5 x\n",
+        "bnet 1\nvar a x y\ncpt a\n0.5 x 0.5\n",
+        "bnet 1\nvar a x y\ncpt a\n0.5 0.5\ncpt a | a\n",
+        "bnet 1\nvar a x y\nvar b u v\ncpt b | a\n1 0 0 0\ncpt a\n0 0\n",
+        "bnet 1\nvar a x y\nvar b u v\ncpt b | a\n1e308 1e308 1 0\ncpt a\n1 1\n",
+        "bnet 1\nvar a x x\n",
+        "bnet 1\nvar a x y\ncpt a b\n",
+    ],
+)
+def test_structural_errors_match_the_reference(text):
+    def shown(outcome):
+        warnings, result = outcome
+        return warnings, result if isinstance(result, tuple) else result.names
+
+    want = shown(_outcome(ref_parse_network, text))
+    assert shown(_outcome(parse_network, text)) == want
+
+
+def test_a_row_sum_that_overflows_is_a_typed_error():
+    text = "bnet 1\nvar a x y\ncpt a\n1e308 1e308\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expect_error(text, "CPT row 0 for 'a' has no probability mass", 3)

@@ -1,5 +1,7 @@
 """Network construction and validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,35 @@ def test_parent_names_are_the_declared_str_names():
     for clique in tree.cliques:
         names += [*clique.members, *clique.separator, *clique.residual]
     assert names and all(type(n) is str for n in names)
+
+
+def test_row_check_names_the_first_failing_cpt_in_declaration_order():
+    # the rows of each child cardinality are checked together; the error
+    # still names the first bad CPT as declared, and a bad row comes before
+    # a bad scope declared after it
+    a, b = two_bit("a"), two_bit("b")
+    c = Variable("c", ("0", "1", "2"))
+    good = {
+        "a": Factor([a], [0.4, 0.6]),
+        "b": Factor([a, b], [0.1, 0.9, 0.7, 0.3]),
+        "c": Factor([b, c], [0.2, 0.3, 0.5, 0.1, 0.1, 0.8]),
+    }
+    parents = {"a": (), "b": ("a",), "c": ("b",)}
+    bad_c = Factor([b, c], [0.2, 0.3, 0.4, 0.1, 0.1, 0.8])
+    bad_b = Factor([a, b], [0.1, 0.9, 0.7, 0.2])
+    for cpts, fragment in (
+        ({**good, "c": bad_c}, "'c' deviate from 1 by up to 0.1"),
+        ({**good, "b": bad_b, "c": bad_c}, "'b' deviate from 1 by up to 0.1"),
+        ({**good, "b": bad_b, "c": good["b"]}, "'b' deviate"),
+        ({**good, "b": good["a"], "c": bad_c}, "CPT for 'b' must have scope"),
+    ):
+        with pytest.raises(InvalidNetworkError, match=fragment):
+            BayesianNetwork([a, b, c], parents, cpts)
+
+
+def test_a_row_sum_that_overflows_is_a_typed_error():
+    a = two_bit("a")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidNetworkError, match="deviate from 1 by up to inf"):
+            BayesianNetwork([a], {"a": ()}, {"a": Factor([a], [1e308, 1e308])})

@@ -9,6 +9,7 @@ from bnquery import (
     compile_network,
     compute_potentials,
     distribute_marginals,
+    dump_network,
     enumerate_joint,
     max_deviation,
     multiply,
@@ -18,7 +19,8 @@ from bnquery import (
     sum_out,
     unit_factor,
 )
-from corpus import random_network
+from corpus import random_forest, random_network, structure_network, windowed_parents
+from reference import ref_collect, ref_compute_potentials, ref_sliced
 
 
 def build(seed, n=5):
@@ -278,3 +280,110 @@ def test_preprocess_is_bit_deterministic():
     assert {r: p1[r].message.total() for r in tree.roots} == {
         r: p2[r].message.total() for r in tree2.roots
     }
+
+
+# -- against the ones-table, multiply-per-step reference ---------------------------
+
+
+def _windowed_dag_120():
+    shape = structure_network(windowed_parents(120, seed=3))
+    rng = np.random.default_rng(120)
+    cpts = {}
+    for name in shape.names:
+        scope = [shape.var(p) for p in shape.parents[name]] + [shape.var(name)]
+        p = rng.uniform(0.1, 0.9, size=[2] * (len(scope) - 1))
+        cpts[name] = bnquery.Factor(scope, np.stack([p, 1 - p], axis=-1))
+    return bnquery.BayesianNetwork(shape.variables, shape.parents, cpts)
+
+
+def _assert_records_equal(tree, records, potentials, reference):
+    for c in tree.cliques:
+        conditional, message = reference[c.id]
+        got = records[c.id]
+        assert got.potential.names == potentials[c.id].names
+        assert np.array_equal(got.potential.values, potentials[c.id].values)
+        assert got.conditional.names == conditional.names
+        assert np.array_equal(got.conditional.values, conditional.values)
+        assert got.message.names == message.names
+        assert np.array_equal(got.message.values, message.values)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_preprocess_matches_the_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    if seed == 11:
+        bn = _windowed_dag_120()
+    elif seed % 4 == 0:
+        bn = random_forest(rng, 7)
+    else:
+        bn = random_network(rng, 12)
+    tree = compile_network(bn)
+    potentials = ref_compute_potentials(bn, tree, assign_cpts(bn, tree))
+    _assert_records_equal(
+        tree, preprocess(bn, tree), potentials, ref_collect(tree, potentials)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_live_records_match_the_reference_after_writes(seed):
+    rng = np.random.default_rng(100 + seed)
+    bn = _windowed_dag_120() if seed == 0 else random_network(rng, 12)
+    engine = bnquery.QueryEngine(bn)
+    tree = engine.tree
+    pristine = ref_compute_potentials(bn, tree, assign_cpts(bn, tree))
+    names = list(bn.names)
+    for step in range(24):
+        observed = engine.evidence
+        if observed and rng.random() < 0.4:
+            engine.retract(sorted(observed)[int(rng.integers(len(observed)))])
+        else:
+            name = names[int(rng.integers(len(names)))]
+            if name not in observed:
+                engine.observe(name, int(rng.integers(2)))
+        if step % 3 == 2:
+            engine.evidence_probability()  # applies the pending writes
+            live = ref_sliced(tree, pristine, engine.evidence)
+            _assert_records_equal(tree, engine._live, live, ref_collect(tree, live))
+
+
+def test_building_an_engine_from_text_validates_no_factor(asia_bn, monkeypatch):
+    texts = [
+        dump_network(asia_bn),
+        dump_network(random_forest(np.random.default_rng(3), 10)),
+        dump_network(_windowed_dag_120()),
+    ]
+    calls = []
+    init = bnquery.Factor.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bnquery.Factor, "__init__", counted)
+    for text in texts:
+        engine = bnquery.QueryEngine(bnquery.parse_network(text))
+        assert engine.prep
+    assert calls == []
+
+
+def test_a_cpt_laid_out_in_another_order_gives_a_c_ordered_potential():
+    # a potential's reductions assume C order; a clique whose one CPT is
+    # held in another layout copies it rather than sharing it
+    a = bnquery.Variable("a", ("0", "1"))
+    kids = [bnquery.Variable(n, tuple(str(i) for i in range(9))) for n in "bc"]
+    rng = np.random.default_rng(9)
+    cpts = {"a": bnquery.Factor([a], [0.3, 0.7])}
+    for v in kids:
+        rows = rng.uniform(0.1, 1.0, size=(9, 2))
+        cpts[v.name] = bnquery.Factor([a, v], (rows / rows.sum(axis=0)).T)
+    bn = bnquery.BayesianNetwork([a, *kids], {"b": ("a",), "c": ("a",)}, cpts)
+    tree = compile_network(bn)
+    assignment = assign_cpts(bn, tree)
+    potentials = compute_potentials(bn, tree, assignment)
+    reference = ref_compute_potentials(bn, tree, assignment)
+    alone = [c for c in tree.cliques if list(assignment.values()).count(c.id) == 1]
+    assert alone and not bn.cpt("b").values.flags.c_contiguous
+    for cid, potential in potentials.items():
+        assert potential.values.flags.c_contiguous
+        assert potential.names == reference[cid].names
+        assert np.array_equal(potential.values, reference[cid].values)

@@ -42,11 +42,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print probabilities with 17 significant digits",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable per-clique answer caching (for diagnostics)",
-    )
-    parser.add_argument(
         "command",
         nargs=argparse.REMAINDER,
         help="one-shot command; omit for a REPL",
@@ -58,7 +53,6 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.network),
             order=args.order.split(",") if args.order else None,
             full_precision=args.full_precision,
-            cache_enabled=not args.no_cache,
         )
     except (InferenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -79,12 +73,9 @@ class Session:
         path: Path,
         order: list[str] | None = None,
         full_precision: bool = False,
-        cache_enabled: bool = True,
     ):
         self.bn = load_network(path, warn=lambda m: print(f"warning: {m}", file=sys.stderr))
-        self.engine = QueryEngine(
-            self.bn, elimination_order=order, cache_enabled=cache_enabled
-        )
+        self.engine = QueryEngine(self.bn, elimination_order=order)
         self.sig = FULL_SIG_DIGITS if full_precision else DEFAULT_SIG_DIGITS
         self.errored = False
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CompilationError
 from .graphs import (
@@ -43,12 +43,14 @@ class Clique:
 
 
 class CliqueTree:
-    """Ordered cliques with parent links, separators, and preorder intervals.
+    """Ordered cliques with parent links, children and separators.
 
-    ``owner[name]`` is the clique holding ``name`` in its residual, the top
-    of the connected set of cliques containing it (running intersection),
-    so the cliques whose subtrees hold ``name`` are its owner and the
-    owner's ancestors.
+    Clique ids are ranks, and a parent ranks before its children.
+    ``children[cid]`` lists a clique's children in ascending rank, and
+    ``root_of[cid]`` is the root of its component.  ``owner[name]`` is the
+    clique holding ``name`` in its residual, the top of the connected set
+    of cliques containing it (running intersection), so the cliques whose
+    subtrees hold ``name`` are ``path_up(owner[name])``.
     """
 
     def __init__(
@@ -72,27 +74,9 @@ class CliqueTree:
         self.roots: tuple[int, ...] = tuple(
             c.id for c in self.cliques if c.parent is None
         )
-
-        # Preorder intervals: clique d lies in the subtree of clique c iff
-        # first[c] <= first[d] <= last[c].  Children are visited in
-        # ascending rank, so a subtree ends where its last child's does.
-        n = len(self.cliques)
-        preorder: list[int] = []
-        first, last, root_of = [0] * n, [0] * n, [0] * n
-        for root in self.roots:
-            stack = [root]
-            while stack:
-                cid = stack.pop()
-                first[cid] = len(preorder)
-                root_of[cid] = root
-                preorder.append(cid)
-                stack.extend(reversed(self.children[cid]))
-        for cid in reversed(preorder):
-            kids = self.children[cid]
-            last[cid] = last[kids[-1]] if kids else first[cid]
-        self.preorder: tuple[int, ...] = tuple(preorder)
-        self.first: tuple[int, ...] = tuple(first)
-        self.last: tuple[int, ...] = tuple(last)
+        root_of: list[int] = []
+        for c in self.cliques:  # a parent ranks before its children
+            root_of.append(c.id if c.parent is None else root_of[c.parent])
         self.root_of: tuple[int, ...] = tuple(root_of)
 
         containing: dict[str, list[int]] = {}
@@ -111,19 +95,22 @@ class CliqueTree:
         }
         self._compact = all(len(name) == 1 for name in self.owner)
 
-    def ancestors(self, cid: int) -> tuple[int, ...]:
-        """Strict ancestors of a clique, nearest first."""
-        out = []
-        parent = self.cliques[cid].parent
-        while parent is not None:
-            out.append(parent)
-            parent = self.cliques[parent].parent
-        return tuple(out)
+    def path_up(self, cid: int) -> Iterator[int]:
+        """The clique ``cid``, then its ancestors, nearest first."""
+        cliques = self.cliques
+        while cid is not None:
+            yield cid
+            cid = cliques[cid].parent
 
     def subtree_variables(self, cid: int) -> frozenset[str]:
         """Every variable in a clique's subtree, gathered on demand."""
-        span = self.preorder[self.first[cid]:self.last[cid] + 1]
-        return frozenset(name for d in span for name in self.cliques[d].members)
+        names: set[str] = set()
+        stack = [cid]
+        while stack:
+            d = stack.pop()
+            names.update(self.cliques[d].members)
+            stack.extend(self.children[d])
+        return frozenset(names)
 
     def label(self, cid: int) -> str:
         return "(" + self._join(self.cliques[cid].members) + ")"
@@ -200,7 +187,7 @@ def compile_network(
     heuristic.
     """
     moral = moralize(bn)
-    order = tuple(elimination_order) if elimination_order else min_fill_order(moral)
+    order = min_fill_order(moral) if elimination_order is None else tuple(elimination_order)
     filled, fill_edges = triangulate(moral, order)
     raw = find_cliques(filled, order)
     priority = {name: i for i, name in enumerate(bn.names)}

@@ -17,22 +17,24 @@ whole-query memo first.
 
 Each clique has one ``CliqueState`` record in two maps: ``prep`` holds
 the pristine records from preprocessing, and the live map the records the
-current evidence gives.  Observing and retracting a finding are lazy: a
-write checks its arguments, updates the evidence, marks the variable
-pending and clears the whole-query memo, and it applies at the next read
-of live state (a query that misses the memo, ``stored_conditional`` or
-``evidence_probability``).  That read runs one refresh over every pending
-variable.  The pristine potentials of the cliques that hold one are
+current evidence gives.  Writes only record: ``observe`` and
+``retract`` check their arguments and edit the evidence.  Every read (a
+query, memo hits included, ``stored_conditional`` or
+``evidence_probability``) first compares the evidence with the evidence
+the live tables hold, and where they differ runs one refresh, the one
+place writes are applied and what they change is invalidated.  The
+pristine potentials of the cliques that hold a changed variable are
 sliced again by the current evidence, and ``preprocess.collect_step`` is
 rerun once over those cliques and their ancestors, children first, each
 writing a new live record.  Every table, a root's included, thus stays
 P(residual | separator, evidence below), and a root's message holds its
 component's mass P(evidence).  A live record is a function of the current
 evidence alone, so a run of writes costs one refresh and leaves the
-tables an eager refresh after each write would.  A clique with no
-evidence left in its subtree takes back its pristine record.  Only cache
-entries keyed on a refreshed clique are dropped; the others depend on no
-table that changed.  The memo holds the product of the per-component
+tables an eager refresh after each write would, and writes that cancel
+out cost nothing.  A clique with no evidence left in its subtree takes
+back its pristine record.  The refresh clears the memo and drops the
+cache entries keyed on a refreshed clique; the others depend on no table
+that changed.  The memo holds the product of the per-component
 answers, P(targets | evidence), which is what a conditional query
 normalizes; ``query_joint`` multiplies in the mass of every component
 holding evidence on the way out, so it returns unnormalized
@@ -46,15 +48,16 @@ themselves are immutable and may be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cliquetree import CliqueTree, compile_network
-from .errors import BadStateError, EvidenceError, QueryError
+from .errors import EvidenceError, QueryError
 from .factors import (
     Factor,
     OpCounters,
+    _checked_state,
     multiply,
     normalize_conditional,
     reorder_scope,
@@ -107,7 +110,6 @@ class QueryEngine:
         self._live: dict[int, CliqueState] = dict(self.prep)
         self._evidence: dict[str, int] = {}
         self._applied: dict[str, int] = {}  # the evidence the live tables hold
-        self._pending: set[str] = set()  # written since the last refresh
         self._cache: dict[tuple[int, frozenset[str]], Factor] = {}
         self._memo: dict[frozenset[str], Factor] = {}
         self._counters = OpCounters()
@@ -119,7 +121,8 @@ class QueryEngine:
         return dict(self._evidence)
 
     def stored_conditional(self, cid: int) -> Factor:
-        self._refresh()
+        if self._evidence != self._applied:
+            self._refresh()
         return self._live[cid].conditional
 
     def op_counters(self) -> OpCounters:
@@ -129,8 +132,8 @@ class QueryEngine:
         self._counters.reset()
 
     def cache_size(self) -> int:
-        """Per-clique cache entries.  Pending writes are not applied first, so
-        this may count entries that the next refresh drops."""
+        """Per-clique cache entries.  Writes are not applied first, so this
+        may count entries that the next read drops."""
         return len(self._cache)
 
     # -- queries ------------------------------------------------------------
@@ -143,7 +146,6 @@ class QueryEngine:
         With no evidence the answer is the memoized table itself.
         """
         answer = self._posterior(self._check_targets(targets), trace)
-        # a memo hit implies no pending write, so the live messages are current
         for root in self._evidence_roots():
             answer = multiply(answer, self._live[root].message, self._counters)
         return answer
@@ -152,6 +154,8 @@ class QueryEngine:
         self, tg: tuple[str, ...], trace: list[TraceEvent] | None
     ) -> Factor:
         """P(targets | evidence) over the order ``tg``, memoized as returned."""
+        if self._evidence != self._applied:
+            self._refresh()
         key = frozenset(tg)
         if self.cache_enabled and key in self._memo:
             self._counters.cache_hits += 1
@@ -160,7 +164,6 @@ class QueryEngine:
             return reorder_scope(self._memo[key], tg)
         if self.cache_enabled:
             self._counters.cache_misses += 1
-        self._refresh()
 
         answer = reorder_scope(self._resolve(tg, trace), tg)
         # Impossible evidence makes every answer 0 (0/0 := 0).  A component
@@ -185,9 +188,9 @@ class QueryEngine:
     ) -> Factor:
         """P(targets | given, evidence), normalized over the targets.
 
-        Transient evidence is asserted before the computation and retracted
-        afterwards.  Contexts of the conditioning variables with zero mass
-        yield all-zero columns.
+        Transient evidence is observed before the computation, and the
+        evidence as it stood is restored afterwards.  Contexts of the
+        conditioning variables with zero mass yield all-zero columns.
         """
         tg = tuple(targets)
         gv = tuple(given)
@@ -199,18 +202,14 @@ class QueryEngine:
             raise QueryError(
                 f"transient evidence on {sorted(bad)} conflicts with the query scope"
             )
-        applied: list[str] = []
+        standing = dict(self._evidence)
         try:
             for name, state in transient_evidence:
-                fresh = name not in self._evidence
                 self.observe(name, state)
-                if fresh:
-                    applied.append(name)
             joint = self._posterior(self._check_targets(tg + gv), trace)
             return normalize_conditional(joint, tg)
         finally:
-            for name in reversed(applied):
-                self.retract(name)
+            self._evidence = standing
 
     def query(self, q: Query, *, trace: list[TraceEvent] | None = None) -> Factor:
         return self.query_conditional(
@@ -219,7 +218,8 @@ class QueryEngine:
 
     def evidence_probability(self) -> float:
         """P(evidence): product of the evidence mass of each touched component."""
-        self._refresh()
+        if self._evidence != self._applied:
+            self._refresh()
         mass = 1.0
         for root in self._evidence_roots():
             mass *= self._live[root].message.total()
@@ -233,17 +233,14 @@ class QueryEngine:
     # -- evidence -----------------------------------------------------------
 
     def observe(self, name: str, state: int) -> None:
-        """Assert name=state; the tables take it in at the next read.
+        """Record name=state; the next read applies it.
 
-        Re-observing the same state is a no-op; a different state is an
-        error (retract first).  Errors raise here, before any state changes.
+        ``state`` must be an integer state index.  Re-observing the same
+        state is a no-op; a different state is an error (retract first).
+        Writes apply lazily, so every error raises here, before the evidence
+        changes.
         """
-        var = self.bn.var(name)
-        if not 0 <= state < var.cardinality:
-            raise BadStateError(
-                f"state {state} out of range for {name!r} "
-                f"(cardinality {var.cardinality})"
-            )
+        state = _checked_state(self.bn.var(name), state)
         if name in self._evidence:
             if self._evidence[name] == state:
                 return
@@ -252,36 +249,34 @@ class QueryEngine:
                 f"{self._evidence[name]}; retract it before re-observing"
             )
         self._evidence[name] = state
-        self._pending.add(name)
-        self._memo.clear()
 
     def retract(self, name: str) -> None:
-        """Withdraw an observation; the tables drop it at the next read."""
+        """Withdraw an observation; the next read applies it."""
         if name not in self._evidence:
             raise EvidenceError(f"{name!r} is not observed")
         del self._evidence[name]
-        self._pending.add(name)
-        self._memo.clear()
 
     def _refresh(self) -> None:
-        """Rerun the collect step, once, where the pending writes changed an input.
+        """Bring the live tables to the current evidence, and drop what changed.
 
-        The cliques holding a pending variable form a connected subtree
-        topped by its owner, so their union plus the owners' ancestors is
-        every clique whose record can change.  Each ancestor walk stops at a
-        clique already walked, which keeps the gathering O(touched).
+        A read calls this when the evidence differs from the evidence the
+        tables hold.  A variable whose finding differs is changed; writes
+        that cancelled out change nothing.  The cliques holding a changed
+        variable form a connected subtree topped by its owner, so their
+        union plus the owners' ancestors is every clique whose record can
+        change.  Each ancestor walk stops at a clique already walked, which
+        keeps the gathering O(touched).  The collect step is rerun over
+        those cliques, children first.  Then the memo is cleared, since
+        every answer in it reads the evidence, and the cache entries on the
+        touched cliques are dropped; the others read no table that changed.
         """
         tree, prep, live, evidence = self.tree, self.prep, self._live, self._evidence
-        applied = self._applied
-        changed = [n for n in self._pending if evidence.get(n) != applied.get(n)]
-        self._pending.clear()
-        if not changed:
-            return
+        changed = {name for name, _ in evidence.items() ^ self._applied.items()}
         sliced: set[int] = set()
         walked: set[int] = set()
         for name in changed:
             sliced.update(tree.containing[name])
-            for cid in _up_from(tree, tree.owner[name]):
+            for cid in tree.path_up(tree.owner[name]):
                 if cid in walked:
                     break
                 walked.add(cid)
@@ -301,6 +296,7 @@ class QueryEngine:
                 messages = [live[ch].message for ch in children]  # ascending rank
                 live[cid] = collect_step(clique, potential, messages, self._counters)
         self._applied = dict(evidence)
+        self._memo.clear()
         self._cache = {k: f for k, f in self._cache.items() if k[0] not in touched}
 
     # -- decomposition ------------------------------------------------------
@@ -310,10 +306,11 @@ class QueryEngine:
 
         A query visits the owner of each target and the owner's ancestors,
         the walk the refresh makes, and a visited clique is asked for the
-        targets whose owners lie in its subtree.  The look-up runs in
-        pre-order, the order a recursive descent opens its visits and emits
-        their trace events; a cache hit answers its whole subtree, so the
-        cliques below it are not visited.  The misses are then computed in
+        targets whose owners lie in its subtree.  The look-up opens the
+        asked cliques depth first from their roots, children in ascending
+        rank: the order a recursive descent opens its visits and emits
+        their trace events.  A cache hit answers its whole subtree, so the
+        cliques below it are not opened.  The misses are then computed in
         reverse, children first: the live conditional times the asked
         children's answers in ascending rank, with the residual names that
         are not targets summed away.  Each computed answer is cached unless
@@ -328,14 +325,15 @@ class QueryEngine:
         whole = frozenset(tg) if len(tg) > 1 else None  # never cached
         asked: dict[int, list[str]] = {}
         for t in tg:
-            for cid in _up_from(tree, tree.owner[t]):
+            for cid in tree.path_up(tree.owner[t]):
                 asked.setdefault(cid, []).append(t)
+        roots = sorted({tree.root_of[tree.owner[t]] for t in tg})
         answers: dict[int, Factor] = {}
         missed: dict[int, tuple[tuple[int, frozenset[str]], list[int], list[str]]] = {}
-        for cid in sorted(asked, key=tree.first.__getitem__):
+        stack = roots[::-1]
+        while stack:
+            cid = stack.pop()
             clique = tree.cliques[cid]
-            if clique.parent is not None and clique.parent not in missed:
-                continue  # an ancestor was answered from the cache
             targets = tuple(asked[cid])
             key = (cid, frozenset(targets))
             if self.cache_enabled and key in cache:
@@ -352,6 +350,7 @@ class QueryEngine:
             names = self._live[cid].conditional.names
             sum_away = [r for r in clique.residual if r in names and r not in tg]
             missed[cid] = (key, kids, sum_away)
+            stack.extend(reversed(kids))
             if trace is not None:
                 requests = tuple(
                     (ch, tuple(asked[ch]), tree.cliques[ch].separator) for ch in kids
@@ -370,10 +369,9 @@ class QueryEngine:
             if self.cache_enabled and key[1] != whole:
                 cache[key] = answer
             answers[cid] = answer
-        parts = [answers[root] for root in tree.roots if root in asked]
-        answer = parts[0]
-        for part in parts[1:]:
-            answer = multiply(answer, part, counters)
+        answer = answers[roots[0]]
+        for root in roots[1:]:
+            answer = multiply(answer, answers[root], counters)
         return answer
 
     # -- validation ---------------------------------------------------------
@@ -391,10 +389,3 @@ class QueryEngine:
                     f"{name!r} is observed; retract it to query its distribution"
                 )
         return tg
-
-
-def _up_from(tree: CliqueTree, cid: int | None) -> Iterator[int]:
-    """``cid`` and its ancestors, nearest first."""
-    while cid is not None:
-        yield cid
-        cid = tree.cliques[cid].parent

@@ -26,6 +26,7 @@ overflow finite inputs to infinity, keep that guard.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -164,12 +165,7 @@ class Factor:
         for v in self.scope:
             if v.name not in assignment:
                 raise MissingVariableError(f"assignment does not bind {v.name!r}")
-            s = assignment[v.name]
-            if not 0 <= s < v.cardinality:
-                raise BadStateError(
-                    f"state {s} out of range for {v.name!r} (cardinality {v.cardinality})"
-                )
-            idx.append(s)
+            idx.append(_checked_state(v, assignment[v.name]))
         return float(self.values[tuple(idx)])
 
     def total(self) -> float:
@@ -189,6 +185,24 @@ _set_values = Factor.values.__set__
 def unit_factor() -> Factor:
     """The empty-scope factor holding 1.0 (the multiplicative identity)."""
     return Factor((), [1.0])
+
+
+def _checked_state(var: Variable, state) -> int:
+    """``state`` as an int, if it is an integer that indexes a state of ``var``.
+
+    A float or other non-integer raises rather than being truncated.
+    """
+    try:
+        index = operator.index(state)
+    except TypeError:
+        raise BadStateError(
+            f"state {state!r} for {var.name!r} is not an integer index"
+        ) from None
+    if not 0 <= index < var.cardinality:
+        raise BadStateError(
+            f"state {state} out of range for {var.name!r} (cardinality {var.cardinality})"
+        )
+    return index
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -264,11 +278,7 @@ def sum_out(f: Factor, names, counters: OpCounters | None = None) -> Factor:
 def substitute(f: Factor, name: str, state: int, counters: OpCounters | None = None) -> Factor:
     """Slice the table at name=state, eliminating that dimension."""
     axis = f.axis(name)
-    card = f.scope[axis].cardinality
-    if not 0 <= state < card:
-        raise BadStateError(
-            f"state {state} out of range for {name!r} (cardinality {card})"
-        )
+    state = _checked_state(f.scope[axis], state)
     out = np.asarray(np.take(f.values, state, axis=axis))
     if counters is not None:
         counters.substitutions += out.size

@@ -353,7 +353,8 @@ def ref_parse_network(text, warn=None):
         )
         rows = table.reshape(-1, v.cardinality)
         for r in range(rows.shape[0]):
-            s = rows[r].sum()
+            with np.errstate(over="ignore"):  # an overflowed sum raises below
+                s = rows[r].sum()
             if s <= 0 or not math.isfinite(s):
                 raise NetworkFormatError(
                     f"CPT row {r} for {name!r} has no probability mass", defline

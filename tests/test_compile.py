@@ -167,6 +167,13 @@ def test_triangulate_rejects_partial_order():
         triangulate(g, ("a",))
 
 
+@pytest.mark.parametrize("order", [[], ["A"]])
+def test_compile_rejects_an_order_that_is_not_a_permutation(asia_bn, order):
+    # an empty order is no request for min-fill
+    with pytest.raises(CompilationError):
+        compile_network(asia_bn, order)
+
+
 def test_find_cliques_single_edge_and_triangle():
     g = graph_of("ab", [("a", "b")])
     assert find_cliques(g, ("a", "b")) == (frozenset("ab"),)
@@ -353,33 +360,32 @@ INTERVAL_NETWORKS = {
 
 @pytest.mark.parametrize("label", sorted(INTERVAL_NETWORKS))
 def test_preorder_intervals_match_parent_links(label):
-    # the intervals, component roots and subtree variables must say what
+    # the component roots, upward paths and subtree variables must say what
     # the parent links say, and the routing rule (a variable outside a
     # clique lies below its child iff its owner does) must hold exactly
     tree = compile_network(INTERVAL_NETWORKS[label]())
     below: dict[int, set[int]] = {c.id: {c.id} for c in tree.cliques}
-    walked_root = {}
+    walked: dict[int, list[int]] = {}
     for c in tree.cliques:
-        up = c.id
-        while tree.cliques[up].parent is not None:
-            up = tree.cliques[up].parent
-            below[up].add(c.id)
-        walked_root[c.id] = up
+        path = [c.id]
+        while tree.cliques[path[-1]].parent is not None:
+            path.append(tree.cliques[path[-1]].parent)
+            below[path[-1]].add(c.id)
+        walked[c.id] = path
     variables = {
         cid: {n for d in ids for n in tree.cliques[d].members} for cid, ids in below.items()
     }
-    assert sorted(tree.preorder) == [c.id for c in tree.cliques]
     for c in tree.cliques:
-        lo, hi = tree.first[c.id], tree.last[c.id]
-        assert {d for d in below if lo <= tree.first[d] <= hi} == below[c.id]
-        assert tree.root_of[c.id] == walked_root[c.id]
+        assert list(tree.children[c.id]) == [d.id for d in tree.cliques if d.parent == c.id]
+        assert list(tree.path_up(c.id)) == walked[c.id]
+        assert tree.root_of[c.id] == walked[c.id][-1]
         assert tree.subtree_variables(c.id) == variables[c.id]
         for ch in tree.children[c.id]:
             for name in tree.owner:
                 if name in c.member_set:
                     continue
-                at = tree.first[tree.owner[name]]
-                assert (name in variables[ch]) == (tree.first[ch] <= at <= tree.last[ch])
+                at = tree.owner[name]
+                assert (name in variables[ch]) == (at in below[ch])
 
 
 # -- equivalence with the quadratic reference algorithms --------------------------

@@ -32,6 +32,19 @@ from corpus import (
 from reference import ref_trace
 
 
+def assert_settled(engine):
+    """Nothing written is left to apply: the next read does no counted
+    work, and the evidence and its mass are a fresh engine's."""
+    before = engine.op_counters()
+    mass = engine.evidence_probability()
+    assert engine.op_counters() == before
+    fresh = QueryEngine(engine.bn, elimination_order=engine.tree.elimination_order)
+    for name, state in engine.evidence.items():
+        fresh.observe(name, state)
+    assert fresh.evidence == engine.evidence
+    assert fresh.evidence_probability() == mass
+
+
 def engine_for(seed, n=8, **kwargs):
     rng = np.random.default_rng(seed)
     bn = random_network(rng, n)
@@ -391,7 +404,11 @@ def test_observe_errors(asia_engine):
         asia_engine.observe("nope", 0)
     with pytest.raises(bnquery.BadStateError):
         asia_engine.observe("E", 5)
-    asia_engine.observe("E", 0)
+    with pytest.raises(bnquery.BadStateError):
+        asia_engine.observe("E", 0.5)  # not truncated to state 0
+    assert asia_engine.evidence == {}
+    asia_engine.observe("E", np.int64(0))  # numpy integers are integers
+    assert asia_engine.evidence == {"E": 0}
     asia_engine.observe("E", 0)  # same state: no-op
     with pytest.raises(EvidenceError):
         asia_engine.observe("E", 1)
@@ -416,7 +433,7 @@ def test_a_conflicting_transient_finding_changes_nothing(asia_engine):
     with pytest.raises(bnquery.BadStateError):
         asia_engine.query_conditional(["X"], transient_evidence=[("E", 2)])
     assert asia_engine.evidence == {"E": 0}
-    assert asia_engine._pending == set()
+    assert_settled(asia_engine)
     # a transient finding that repeats a standing one is not retracted after
     asia_engine.query_conditional(["X"], transient_evidence=[("E", 0)])
     assert asia_engine.evidence == {"E": 0}
@@ -541,13 +558,15 @@ def test_retract_without_evidence_errors(asia_engine):
 
 
 def test_a_failed_write_changes_nothing(asia_engine):
-    # errors raise at the call, before the evidence or the pending set moves
-    asia_engine.observe("E", 0)
-    asia_engine.observe("S", 1)
-    asia_engine.evidence_probability()
-    asia_engine.retract("S")  # pending until the next read
-    evidence, pending = asia_engine.evidence, set(asia_engine._pending)
-    assert pending == {"S"}
+    # errors raise at the call, before the evidence moves: the next read
+    # does the work of the writes that succeeded, and no more
+    twin = QueryEngine(asia_engine.bn, elimination_order=bnquery.ASIA_GOLDEN_ORDER)
+    for engine in (asia_engine, twin):
+        engine.observe("E", 0)
+        engine.observe("S", 1)
+        engine.evidence_probability()
+        engine.retract("S")  # applied at the next read
+    evidence = asia_engine.evidence
     with pytest.raises(bnquery.BadStateError):
         asia_engine.observe("X", 2)
     with pytest.raises(EvidenceError):
@@ -557,7 +576,9 @@ def test_a_failed_write_changes_nothing(asia_engine):
     with pytest.raises(MissingVariableError):
         asia_engine.observe("nope", 0)
     assert asia_engine.evidence == evidence
-    assert asia_engine._pending == pending
+    assert asia_engine.evidence_probability() == twin.evidence_probability()
+    assert asia_engine.op_counters() == twin.op_counters()
+    assert_settled(asia_engine)
 
 
 def test_writes_apply_at_the_next_read(asia_engine):
@@ -568,10 +589,28 @@ def test_writes_apply_at_the_next_read(asia_engine):
     asia_engine.observe("S", 1)
     asia_engine.retract("S")
     assert asia_engine.op_counters() == before
-    assert asia_engine._memo == {}
     asia_engine.evidence_probability()
     assert asia_engine.op_counters().substitutions > before.substitutions
-    assert asia_engine._pending == set()
+    assert_settled(asia_engine)
+    # the read dropped the memoized answer, which holds no finding on E
+    trace = []
+    asia_engine.query_joint(["X"], trace=trace)
+    assert "memo" not in {event.resolution for event in trace}
+
+
+def test_cancelling_writes_keep_the_memo(asia_engine):
+    # writes that leave the evidence as the tables hold it change nothing,
+    # so the whole-query memo still answers
+    asia_engine.query_joint(["A", "X", "S"])
+    before = asia_engine.op_counters()
+    asia_engine.observe("E", 0)
+    asia_engine.retract("E")
+    trace = []
+    asia_engine.query_joint(["A", "X", "S"], trace=trace)
+    after = asia_engine.op_counters()
+    assert after.multiplications == before.multiplications
+    assert after.summations == before.summations
+    assert [event.resolution for event in trace] == ["memo"]
 
 
 @pytest.mark.parametrize("undo", ["failed what-if", "observe then retract", "re-observe"])
@@ -616,7 +655,7 @@ def test_observing_every_leaf_of_a_deep_star_is_linear():
     bn = bnquery.BayesianNetwork(shape.variables, shape.parents, cpts)
     engine = QueryEngine(bn)
     tree = engine.tree
-    assert max(len(tree.ancestors(c.id)) for c in tree.cliques) == 599
+    assert max(len(list(tree.path_up(c.id))) for c in tree.cliques) == 600
     leaves = shape.names[1:]
     states = rng.integers(0, 2, size=len(leaves))
     for leaf, state in zip(leaves, states):
@@ -830,7 +869,7 @@ def test_deep_chain_answers_under_a_low_recursion_limit():
     names = bn.names
     engine = QueryEngine(bn)
     tree = engine.tree
-    assert len(tree.ancestors(tree.owner[names[-1]])) == 2998
+    assert len(list(tree.path_up(tree.owner[names[-1]]))) == 2999
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:

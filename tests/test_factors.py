@@ -194,6 +194,18 @@ def test_substitute_errors():
         substitute(f, "E", 2)
 
 
+def test_states_must_be_integers():
+    # a float state raises rather than being truncated; numpy integers count
+    f = Factor([B, E], [1.0, 2.0, 3.0, 4.0])
+    for bad in (0.7, 1.0, "1"):
+        with pytest.raises(BadStateError):
+            substitute(f, "E", bad)
+        with pytest.raises(BadStateError):
+            f.value_at({"B": 0, "E": bad})
+    assert list(substitute(f, "E", np.int64(1)).flat) == [2.0, 4.0]
+    assert f.value_at({"B": np.int8(1), "E": np.uint16(0)}) == 3.0
+
+
 def test_substitute_then_sum_matches_sum_then_substitute():
     rng = np.random.default_rng(5)
     f = Factor([B, E, X3], rng.random(12))

@@ -17,6 +17,7 @@ from .errors import (
     EvidenceError,
     IncompatibleVariableError,
     InferenceError,
+    InvalidFactorError,
     InvalidNetworkError,
     MissingVariableError,
     NetworkFormatError,

@@ -5,8 +5,10 @@ graph: a clique's rank key is the highest MCS position among its members
 (ties broken by the sorted member list).  A clique's separator is its
 overlap with the union of all lower-ranked cliques, and its parent is the
 most recently ranked earlier clique containing that separator, which
-reproduces the classic cluster-tree shape.  Disconnected networks compile
-to a forest with one root (empty separator) per component.
+reproduces the classic cluster-tree shape.  Every network compiles to one
+tree rooted at clique 0: numbered in rank order, component j >= 1 hangs
+its first clique (empty separator) from that of component (j - 1) // 2,
+so no clique takes more than two and depth grows by log2(components).
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ class Clique:
 class CliqueTree:
     """Ordered cliques with parent links, children and separators.
 
-    Clique ids are ranks, and a parent ranks before its children.
-    ``children[cid]`` lists a clique's children in ascending rank, and
-    ``root_of[cid]`` is the root of its component.  ``owner[name]`` is the
-    clique holding ``name`` in its residual, the top of the connected set
-    of cliques containing it (running intersection), so the cliques whose
-    subtrees hold ``name`` are ``path_up(owner[name])``.
+    Clique ids are ranks, a parent ranks before its children, and clique 0
+    is the one root.  ``children[cid]`` lists a clique's children in
+    ascending rank.  ``owner[name]`` is the clique holding ``name`` in its
+    residual, the top of the connected set of cliques containing it
+    (running intersection), so the cliques whose subtrees hold ``name``
+    are ``path_up(owner[name])``.
     """
 
     def __init__(
@@ -70,14 +72,6 @@ class CliqueTree:
         self.children: dict[int, tuple[int, ...]] = {
             cid: tuple(ids) for cid, ids in children.items()
         }
-
-        self.roots: tuple[int, ...] = tuple(
-            c.id for c in self.cliques if c.parent is None
-        )
-        root_of: list[int] = []
-        for c in self.cliques:  # a parent ranks before its children
-            root_of.append(c.id if c.parent is None else root_of[c.parent])
-        self.root_of: tuple[int, ...] = tuple(root_of)
 
         containing: dict[str, list[int]] = {}
         self.owner: dict[str, int] = {}
@@ -150,11 +144,15 @@ def order_cliques(
 
     out: list[Clique] = []
     seen: set[str] = set()
+    firsts: list[int] = []  # each component's first clique
     for cid, members in enumerate(ranked):
         sep = frozenset(members & seen)
         res = members - sep
         parent = None
-        if sep:
+        if not sep:
+            parent = firsts[(len(firsts) - 1) // 2] if firsts else None
+            firsts.append(cid)
+        else:
             for j in range(cid - 1, -1, -1):
                 if sep <= ranked[j]:
                     parent = j

@@ -10,35 +10,32 @@ answers are multiplied with the clique's stored residual conditional
 before the unwanted residual variables are summed away.  A per-clique
 answer is cached under (clique, target set), so repeated and overlapping
 queries reuse earlier work, and a hit answers its clique's whole subtree.
-The one answer not cached covers all the targets of a query with two or
-more: such answers sit at the targets' common ancestors up to the root,
-and their reader, a repeat of the same query, is answered by the
-whole-query memo first.
+Every walk ends at the one root, clique 0, so a query's answer is clique
+0's entry over all its targets, stored in request order and read before
+the walk; no other entry over all of two or more targets is cached.
 
 Each clique has one ``CliqueState`` record in two maps: ``prep`` holds
 the pristine records from preprocessing, and the live map the records the
 current evidence gives.  Writes only record: ``observe`` and
 ``retract`` check their arguments and edit the evidence.  Every read (a
-query, memo hits included, ``stored_conditional`` or
+query, whole-query hits included, ``stored_conditional`` or
 ``evidence_probability``) first compares the evidence with the evidence
 the live tables hold, and where they differ runs one refresh, the one
 place writes are applied and what they change is invalidated.  The
 pristine potentials of the cliques that hold a changed variable are
 sliced again by the current evidence, and ``preprocess.collect_step`` is
 rerun once over those cliques and their ancestors, children first, each
-writing a new live record.  Every table, a root's included, thus stays
-P(residual | separator, evidence below), and a root's message holds its
-component's mass P(evidence).  A live record is a function of the current
-evidence alone, so a run of writes costs one refresh and leaves the
-tables an eager refresh after each write would, and writes that cancel
-out cost nothing.  A clique with no evidence left in its subtree takes
-back its pristine record.  The refresh clears the memo and drops the
-cache entries keyed on a refreshed clique; the others depend on no table
-that changed.  The memo holds the product of the per-component
-answers, P(targets | evidence), which is what a conditional query
-normalizes; ``query_joint`` multiplies in the mass of every component
-holding evidence on the way out, so it returns unnormalized
-P(targets, evidence).
+writing a new live record.  Every table, the root's included, thus stays
+P(residual | separator, evidence below), and the root's message holds the
+mass P(evidence).  A live record is a function of the current evidence
+alone, so a run of writes costs one refresh and leaves the tables an
+eager refresh after each write would, and writes that cancel out cost
+nothing.  A clique with no evidence left in its subtree takes back its
+pristine record.  The refresh drops the cache entries keyed on a
+refreshed clique, clique 0's among them; the others depend on no table
+that changed.  ``query_joint`` multiplies an answer, P(targets |
+evidence), by clique 0's message P(evidence).  Impossible evidence in any
+component zeroes clique 0's conditional, and so every answer.
 
 An engine instance is strictly single-threaded: queries may not overlap
 observe/retract calls, and the caches are plain dicts.  The factor tables
@@ -49,8 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .cliquetree import CliqueTree, compile_network
 from .errors import EvidenceError, QueryError
@@ -83,7 +78,7 @@ class TraceEvent:
 
     ``resolution`` is "computed", "stored" (answered directly from the
     clique's own conditional), "cache" (per-clique cache hit), or "memo"
-    (whole-query hit; clique_id is None).
+    (clique 0's whole-query answer, read before the walk; clique_id is None).
     """
 
     clique_id: int | None
@@ -111,7 +106,6 @@ class QueryEngine:
         self._evidence: dict[str, int] = {}
         self._applied: dict[str, int] = {}  # the evidence the live tables hold
         self._cache: dict[tuple[int, frozenset[str]], Factor] = {}
-        self._memo: dict[frozenset[str], Factor] = {}
         self._counters = OpCounters()
 
     # -- introspection ------------------------------------------------------
@@ -132,8 +126,8 @@ class QueryEngine:
         self._counters.reset()
 
     def cache_size(self) -> int:
-        """Per-clique cache entries.  Writes are not applied first, so this
-        may count entries that the next read drops."""
+        """Cache entries, whole-query answers included.  Writes are not applied
+        first, so this may count entries that the next read drops."""
         return len(self._cache)
 
     # -- queries ------------------------------------------------------------
@@ -143,39 +137,30 @@ class QueryEngine:
     ) -> Factor:
         """Unnormalized P(targets, evidence) over the requested scope order.
 
-        With no evidence the answer is the memoized table itself.
+        With no evidence the answer is the cached table itself.
         """
         answer = self._posterior(self._check_targets(targets), trace)
-        for root in self._evidence_roots():
-            answer = multiply(answer, self._live[root].message, self._counters)
+        if self._evidence:
+            answer = multiply(answer, self._live[0].message, self._counters)
         return answer
 
     def _posterior(
         self, tg: tuple[str, ...], trace: list[TraceEvent] | None
     ) -> Factor:
-        """P(targets | evidence) over the order ``tg``, memoized as returned."""
+        """P(targets | evidence) over the order ``tg``, cached under clique 0."""
         if self._evidence != self._applied:
             self._refresh()
-        key = frozenset(tg)
-        if self.cache_enabled and key in self._memo:
-            self._counters.cache_hits += 1
-            if trace is not None:
-                trace.append(TraceEvent(None, tg, (), (), "memo"))
-            return reorder_scope(self._memo[key], tg)
+        key = (0, frozenset(tg))
         if self.cache_enabled:
+            if key in self._cache:
+                self._counters.cache_hits += 1
+                if trace is not None:
+                    trace.append(TraceEvent(None, tg, (), (), "memo"))
+                return reorder_scope(self._cache[key], tg)
             self._counters.cache_misses += 1
-
         answer = reorder_scope(self._resolve(tg, trace), tg)
-        # Impossible evidence makes every answer 0 (0/0 := 0).  A component
-        # holding targets has zeroed its own tables; one holding only
-        # evidence is not walked, so its mass is read here.
-        if self._evidence and any(
-            not self._live[r].message.total() for r in self._evidence_roots()
-        ):
-            zeros = np.zeros(answer.values.shape)
-            answer = Factor._trusted(answer.scope, answer.names, zeros)
         if self.cache_enabled:
-            self._memo[key] = answer
+            self._cache[key] = answer
         return answer
 
     def query_conditional(
@@ -188,9 +173,10 @@ class QueryEngine:
     ) -> Factor:
         """P(targets | given, evidence), normalized over the targets.
 
-        Transient evidence is observed before the computation, and the
-        evidence as it stood is restored afterwards.  Contexts of the
-        conditioning variables with zero mass yield all-zero columns.
+        Pending writes are applied first; transient evidence then holds for
+        this query alone, and the evidence, live tables and cache as they
+        stood are put back.  Zero-mass contexts of the conditioning
+        variables yield all-zero columns.
         """
         tg = tuple(targets)
         gv = tuple(given)
@@ -202,14 +188,21 @@ class QueryEngine:
             raise QueryError(
                 f"transient evidence on {sorted(bad)} conflicts with the query scope"
             )
-        standing = dict(self._evidence)
+        if not transient_evidence:
+            joint = self._posterior(self._check_targets(tg + gv), trace)
+            return normalize_conditional(joint, tg)
+        if self._evidence != self._applied:
+            self._refresh()
+        kept = self._evidence, self._applied, self._live, self._cache
+        # A refresh edits the live map in place.
+        self._evidence, self._live = dict(self._evidence), dict(self._live)
         try:
             for name, state in transient_evidence:
                 self.observe(name, state)
             joint = self._posterior(self._check_targets(tg + gv), trace)
             return normalize_conditional(joint, tg)
         finally:
-            self._evidence = standing
+            self._evidence, self._applied, self._live, self._cache = kept
 
     def query(self, q: Query, *, trace: list[TraceEvent] | None = None) -> Factor:
         return self.query_conditional(
@@ -217,18 +210,11 @@ class QueryEngine:
         )
 
     def evidence_probability(self) -> float:
-        """P(evidence): product of the evidence mass of each touched component."""
+        """P(evidence), the mass of clique 0's message; exactly 1.0 with none.
+        Masses of several components whose product underflows read 5e-324."""
         if self._evidence != self._applied:
             self._refresh()
-        mass = 1.0
-        for root in self._evidence_roots():
-            mass *= self._live[root].message.total()
-        return mass
-
-    def _evidence_roots(self) -> list[int]:
-        """Roots of the tree components that hold a finding, in rank order."""
-        tree = self.tree
-        return sorted({tree.root_of[tree.owner[v]] for v in self._evidence})
+        return self._live[0].message.total() if self._evidence else 1.0
 
     # -- evidence -----------------------------------------------------------
 
@@ -266,9 +252,9 @@ class QueryEngine:
         union plus the owners' ancestors is every clique whose record can
         change.  Each ancestor walk stops at a clique already walked, which
         keeps the gathering O(touched).  The collect step is rerun over
-        those cliques, children first.  Then the memo is cleared, since
-        every answer in it reads the evidence, and the cache entries on the
-        touched cliques are dropped; the others read no table that changed.
+        those cliques, children first, each getting a new live record.
+        Then the cache entries on the touched cliques, clique 0 always
+        among them, are dropped; the others read no table that changed.
         """
         tree, prep, live, evidence = self.tree, self.prep, self._live, self._evidence
         changed = {name for name, _ in evidence.items() ^ self._applied.items()}
@@ -282,10 +268,10 @@ class QueryEngine:
                 walked.add(cid)
         touched = sliced | walked
         for cid in sorted(touched, reverse=True):
-            st, clique, children = prep[cid], tree.cliques[cid], tree.children[cid]
+            st, children = prep[cid], tree.children[cid]
             if cid in sliced:
                 potential = st.potential
-                for v in clique.members:
+                for v in tree.cliques[cid].members:
                     if v in evidence:
                         potential = substitute(potential, v, evidence[v], self._counters)
             else:
@@ -293,44 +279,42 @@ class QueryEngine:
             if potential is st.potential and all(live[ch] is prep[ch] for ch in children):
                 live[cid] = st
             else:
-                messages = [live[ch].message for ch in children]  # ascending rank
-                live[cid] = collect_step(clique, potential, messages, self._counters)
+                live[cid] = collect_step(tree, cid, potential, live, self._counters)
         self._applied = dict(evidence)
-        self._memo.clear()
         self._cache = {k: f for k, f in self._cache.items() if k[0] not in touched}
 
     # -- decomposition ------------------------------------------------------
 
     def _resolve(self, tg: tuple[str, ...], trace: list[TraceEvent] | None) -> Factor:
-        """P(targets | evidence), a product over the components holding targets.
+        """P(targets | evidence): clique 0's answer over all the targets.
 
         A query visits the owner of each target and the owner's ancestors,
         the walk the refresh makes, and a visited clique is asked for the
         targets whose owners lie in its subtree.  The look-up opens the
-        asked cliques depth first from their roots, children in ascending
+        asked cliques depth first from clique 0, children in ascending
         rank: the order a recursive descent opens its visits and emits
         their trace events.  A cache hit answers its whole subtree, so the
         cliques below it are not opened.  The misses are then computed in
         reverse, children first: the live conditional times the asked
         children's answers in ascending rank, with the residual names that
         are not targets summed away.  Each computed answer is cached unless
-        it covers all of two or more targets: a repeat of the query hits the
-        memo, and a superset query or a write outside the clique's subtree
-        rarely comes to read it (on the benchmark's query-mix stream 4 of
+        it covers all of two or more targets: a repeat of the query finds
+        the answer ``_posterior`` stores under clique 0 first, and a
+        superset query or a write outside the clique's subtree rarely comes
+        to read it (on the benchmark's query-mix stream 4 of
         32,973 such entries were hit, and they held nine tenths of the
         cached cells).  Both passes are loops, so tree depth is bounded by
         memory, not by the interpreter's recursion limit.
         """
         tree, cache, counters = self.tree, self._cache, self._counters
-        whole = frozenset(tg) if len(tg) > 1 else None  # never cached
+        whole = frozenset(tg) if len(tg) > 1 else None  # cached by _posterior
         asked: dict[int, list[str]] = {}
         for t in tg:
             for cid in tree.path_up(tree.owner[t]):
                 asked.setdefault(cid, []).append(t)
-        roots = sorted({tree.root_of[tree.owner[t]] for t in tg})
         answers: dict[int, Factor] = {}
         missed: dict[int, tuple[tuple[int, frozenset[str]], list[int], list[str]]] = {}
-        stack = roots[::-1]
+        stack = [0]
         while stack:
             cid = stack.pop()
             clique = tree.cliques[cid]
@@ -369,10 +353,7 @@ class QueryEngine:
             if self.cache_enabled and key[1] != whole:
                 cache[key] = answer
             answers[cid] = answer
-        answer = answers[roots[0]]
-        for root in roots[1:]:
-            answer = multiply(answer, answers[root], counters)
-        return answer
+        return answers[0]
 
     # -- validation ---------------------------------------------------------
 

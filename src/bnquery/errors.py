@@ -5,6 +5,10 @@ class InferenceError(Exception):
     """Base class for every error raised by bnquery."""
 
 
+class InvalidFactorError(InferenceError, ValueError):
+    """A variable or table is malformed (bad name, states, shape or values)."""
+
+
 class IncompatibleVariableError(InferenceError):
     """Two factors use the same variable name with different state spaces."""
 

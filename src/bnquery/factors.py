@@ -32,7 +32,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadStateError, IncompatibleVariableError, MissingVariableError
+from .errors import (
+    BadStateError, IncompatibleVariableError, InvalidFactorError, MissingVariableError
+)
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,13 @@ class Variable:
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("variable name must be non-empty")
+            raise InvalidFactorError("variable name must be non-empty")
         states = tuple(self.states)
         object.__setattr__(self, "states", states)
         if len(states) < 1:
-            raise ValueError(f"variable {self.name!r} needs at least one state")
+            raise InvalidFactorError(f"variable {self.name!r} needs at least one state")
         if len(set(states)) != len(states):
-            raise ValueError(f"variable {self.name!r} has duplicate state labels")
+            raise InvalidFactorError(f"variable {self.name!r} has duplicate state labels")
 
     @property
     def cardinality(self) -> int:
@@ -104,20 +106,20 @@ class Factor:
         scope = tuple(scope)
         names = tuple(v.name for v in scope)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variables in scope: {list(names)}")
+            raise InvalidFactorError(f"duplicate variables in scope: {list(names)}")
         shape = tuple(v.cardinality for v in scope)
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != shape:
             expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
             if arr.size != expected:
-                raise ValueError(
+                raise InvalidFactorError(
                     f"need {expected} values for scope {list(names)}, got {arr.size}"
                 )
             arr = arr.reshape(shape)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("factor values must be finite")
+            raise InvalidFactorError("factor values must be finite")
         if arr.size and arr.min() < 0:
-            raise ValueError("factor values must be nonnegative")
+            raise InvalidFactorError("factor values must be nonnegative")
         arr.setflags(write=False)
         _set_scope(self, scope)
         _set_names(self, names)
@@ -207,7 +209,7 @@ def _checked_state(var: Variable, state) -> int:
 
 def _check_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
-        raise ValueError("factor values must be finite")
+        raise InvalidFactorError("factor values must be finite")
 
 
 def _aligned(

@@ -22,12 +22,13 @@ wrapped or checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .cliquetree import Clique, CliqueTree
+from .cliquetree import CliqueTree
 from .factors import (
     Factor,
     OpCounters,
@@ -48,8 +49,8 @@ class CliqueState:
     record, sliced by the current evidence), ``conditional`` is
     P(residual | separator, evidence below), and ``message`` is the
     potential times the children's messages, summed over the residual.
-    A root's message has empty scope and holds its component's mass,
-    P(evidence) for that component.
+    The root's message, clique 0's, has empty scope and holds the mass
+    P(evidence).
     """
 
     potential: Factor
@@ -114,14 +115,15 @@ def compute_potentials(
 
 
 def collect_step(
-    clique: Clique,
+    tree: CliqueTree,
+    cid: int,
     potential: Factor,
-    messages: list[Factor],
+    records: dict[int, CliqueState],
     counters: OpCounters | None = None,
 ) -> CliqueState:
-    """One clique's record from its potential and its children's messages.
+    """Clique ``cid``'s record from its potential and its children's records.
 
-    The product of the potential and the messages (in the order given)
+    The product of the potential and the child messages (ascending rank)
     splits into P(residual | separator), normalized over the residual
     variables still in its scope, and the message for the parent, the
     product summed over them.  One reduction serves both: the sums divide
@@ -133,11 +135,23 @@ def collect_step(
     same names), so the product keeps the potential's scope and is formed
     on the arrays.  Finiteness is checked once, on the sums: a product
     cell that overflowed makes its sum infinite or NaN.
+
+    A child with an empty separator is a component hung here, and its
+    message, the mass of that component and those below it, multiplies
+    only the message: no conditional holds another component's mass.  A
+    zero mass is impossible evidence and zeroes the conditional; a product
+    of nonzero masses below float range is kept at the least positive float.
     """
+    clique = tree.cliques[cid]
     names = potential.names
     pos = {n: i for i, n in enumerate(names)}
     values = potential.values
-    for message in messages:
+    masses: list[float] = []
+    for ch in tree.children[cid]:  # ascending rank
+        message = records[ch].message
+        if not tree.cliques[ch].separator:
+            masses.append(message.total())
+            continue
         aligned = _aligned(message.values, message.names, pos, len(pos))
         values = np.asarray(values * aligned)
         if counters is not None:
@@ -151,6 +165,15 @@ def collect_step(
     if counters is not None:
         counters.summations += values.size - total.size
     _check_finite(total)
+    if masses:  # only a first clique has hung children: ``total`` is a scalar
+        mass = math.prod(masses, start=float(total))
+        if counters is not None:
+            counters.multiplications += len(masses)
+        if 0.0 in masses:
+            conditional = np.zeros_like(values)
+        elif total and not mass:
+            mass = math.ulp(0.0)
+        total = np.asarray(mass)
     return CliqueState(
         potential,
         Factor._trusted(potential.scope, names, conditional),
@@ -167,13 +190,12 @@ def collect_conditionals(
 ) -> dict[int, CliqueState]:
     """Decreasing-rank pass producing every clique's record.
 
-    A root's message has empty scope and holds that component's
-    normalization mass, which is 1 up to rounding for a valid network.
+    The root's message has empty scope and holds the normalization mass,
+    which is 1 up to rounding for a valid network.
     """
     records: dict[int, CliqueState] = {}
     for c in reversed(tree.cliques):
-        messages = [records[ch].message for ch in tree.children[c.id]]  # ascending rank
-        records[c.id] = collect_step(c, potentials[c.id], messages)
+        records[c.id] = collect_step(tree, c.id, potentials[c.id], records)
     return {c.id: records[c.id] for c in tree.cliques}
 
 

@@ -3,11 +3,13 @@
 Names left of the bar are targets.  Bare names on the right are
 conditioning variables; ``name=state`` on the right binds transient
 evidence for the duration of the query.  The bar and right side are
-optional.
+optional.  Every name is a token with no whitespace and none of
+``, | = ( )``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import QueryParseError
@@ -43,9 +45,9 @@ def parse_query(text: str) -> ParsedQuery:
             name, state = name.strip(), state.strip()
             if not name or not state:
                 raise QueryParseError(f"malformed evidence binding {item!r}")
-            transient.append((name, state))
+            transient.append((_checked_name(name, "evidence"), state))
         else:
-            given.append(item)
+            given.append(_checked_name(item, "conditioning"))
 
     seen: set[str] = set()
     for name in list(targets) + given + [n for n, _ in transient]:
@@ -67,7 +69,14 @@ def _split_names(part: str, role: str) -> list[str]:
             raise QueryParseError(
                 f"{role} list may not bind states; move {item!r} right of the bar"
             )
-        if not item.replace("_", "").isalnum():
-            raise QueryParseError(f"bad {role} name {item!r}")
-        names.append(item)
+        names.append(_checked_name(item, role))
     return names
+
+
+_NAME = re.compile(r"[^\s,|=()]+")
+
+
+def _checked_name(name: str, role: str) -> str:
+    if not (name.isalnum() or _NAME.fullmatch(name)):  # most names are alphanumeric
+        raise QueryParseError(f"bad {role} name {name!r}")
+    return name

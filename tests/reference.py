@@ -178,8 +178,8 @@ def ref_trace(tree, cached_keys, targets):
     """Trace events of a recursive descent, without evidence.
 
     Each event is (clique id, targets, separator, requests, resolution),
-    the fields of an engine ``TraceEvent``.  A component is entered at its
-    root with the targets its cliques hold, in request order.  A clique
+    the fields of an engine ``TraceEvent``.  The tree is entered at its
+    root, clique 0, with every target in request order.  A clique
     whose (id, target set) key is in ``cached_keys`` is answered there;
     otherwise every target outside it is requested from the child whose
     subtree holds it, children in ascending rank, and a clique with no
@@ -212,11 +212,7 @@ def ref_trace(tree, cached_keys, targets):
         for ch, sub, _sep in requests:
             visit(ch, sub)
 
-    for root in tree.roots:
-        held = below(root)
-        asked = tuple(t for t in targets if t in held)
-        if asked:
-            visit(root, asked)
+    visit(0, tuple(targets))
     return events
 
 
@@ -408,15 +404,29 @@ def ref_sliced(tree, potentials, evidence):
 
 def ref_collect(tree, potentials):
     """clique id -> (conditional, message), children first, one multiply per
-    child message, then a normalization and a sum over the residual."""
+    child message, then a normalization and a sum over the residual.
+
+    A child with an empty separator is a hung component: its mass
+    multiplies only the message, and a zero mass zeroes the conditional;
+    a product of nonzero masses that underflows stays at the least
+    positive float."""
     records = {}
     for c in reversed(tree.cliques):
-        product = potentials[c.id]
+        product, hung = potentials[c.id], []
         for ch in tree.children[c.id]:
-            product = multiply(product, records[ch][1])
+            if tree.cliques[ch].separator:
+                product = multiply(product, records[ch][1])
+            else:
+                hung.append(records[ch][1])
         residual = [n for n in c.residual if n in product.names]
-        records[c.id] = (
-            normalize_conditional(product, residual),
-            sum_out(product, residual),
-        )
+        conditional = normalize_conditional(product, residual)
+        message = sum_out(product, residual)
+        own = message.total()
+        for mass in hung:
+            message = multiply(message, mass)
+        if any(mass.total() == 0 for mass in hung):
+            conditional = Factor(conditional.scope, np.zeros(conditional.values.shape))
+        elif own and message.total() == 0:
+            message = Factor((), np.nextafter(0.0, 1.0))
+        records[c.id] = (conditional, message)
     return records

@@ -75,8 +75,8 @@ def test_criterion_1_structural_golden(asia_bn):
         }
         got = {c.member_set: set(c.separator) for c in tree.cliques}
         assert got == expected
-        root = tree.cliques[tree.roots[0]]
-        assert len(tree.roots) == 1 and root.member_set == frozenset("AT")
+        roots = [c.id for c in tree.cliques if c.parent is None]
+        assert roots == [0] and tree.cliques[0].member_set == frozenset("AT")
         assert time.perf_counter() - start < 1.0
 
 
@@ -152,9 +152,8 @@ def test_criterion_4_joint_factorization(corpus):
             product = unit_factor()
             for c in engine.tree.cliques:
                 product = multiply(product, engine.prep[c.id].conditional)
-            for root in engine.tree.roots:
-                mass = engine.prep[root].message.total()
-                product = multiply(product, Factor((), [mass]))
+            mass = engine.prep[0].message.total()
+            product = multiply(product, Factor((), [mass]))
             assert max_deviation(product, joint) <= 1e-9
 
 

@@ -20,6 +20,7 @@ PUBLIC_NAMES = [
     "Factor",
     "IncompatibleVariableError",
     "InferenceError",
+    "InvalidFactorError",
     "InvalidNetworkError",
     "MissingVariableError",
     "NetworkFormatError",
@@ -78,6 +79,21 @@ ENGINE_NAMES = [
 ]
 
 
+#: Attributes of a compiled tree, methods and instance fields alike.
+TREE_NAMES = [
+    "children",
+    "cliques",
+    "containing",
+    "elimination_order",
+    "fill_edges",
+    "label",
+    "owner",
+    "path_up",
+    "subtree_variables",
+    "to_dot",
+]
+
+
 def public(obj):
     return sorted(
         name
@@ -92,3 +108,8 @@ def test_package_public_names_are_pinned():
 
 def test_query_engine_public_names_are_pinned():
     assert public(bnquery.QueryEngine) == ENGINE_NAMES
+
+
+def test_compiled_clique_tree_public_names_are_pinned():
+    bn = bnquery.load_network(bnquery.asia_path())
+    assert public(bnquery.compile_network(bn)) == TREE_NAMES

@@ -92,6 +92,65 @@ def test_names_join_by_one_rule_across_the_network(tmp_path):
     ]
 
 
+TWO_PARTS = """\
+bnet 1
+var a yes no
+var b yes no
+var c yes no
+var d yes no
+cpt a
+  0.4 0.6
+cpt b | a
+  0.1 0.9
+  0.7 0.3
+cpt c
+  0.5 0.5
+cpt d | c
+  0.2 0.8
+  0.5 0.5
+"""
+
+
+def test_compile_links_components_into_one_tree(tmp_path):
+    # (cd) hangs from (ab) through an empty separator: one root line
+    path = tmp_path / "two.net"
+    path.write_text(TWO_PARTS)
+    code, out, err = run([str(path), "compile"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "compiled: 2 cliques, 0 fill edges\n"
+        "(ab) root\n"
+        "(cd) <- (ab) separator {}\n"
+    )
+
+
+PUNCTUATED_NAMES = """\
+bnet 1
+var smoker yes no
+var lung.ca yes no
+var x-ray yes no
+cpt smoker
+  0.3 0.7
+cpt lung.ca | smoker
+  0.1 0.9
+  0.01 0.99
+cpt x-ray | lung.ca
+  0.98 0.02
+  0.05 0.95
+"""
+
+
+def test_any_loadable_name_can_be_queried(tmp_path):
+    path = tmp_path / "punctuated.net"
+    path.write_text(PUNCTUATED_NAMES)
+    code, out, err = run([str(path), "query", "P(lung.ca | x-ray=yes)", "--check"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "P(lung.ca | x-ray=yes) (normalized):"
+    assert float(out.splitlines()[-1].split("=")[-1]) <= 1e-9
+    code, out, err = run([str(path), "query", "P(x-ray | smoker)"])
+    assert (code, err) == (0, "")
+
+
 def test_trace_is_byte_deterministic():
     argv = ["--order", ORDER, ASIA]
     script = "query P(A,X,S) --trace\nquery P(X,S) --trace\n"

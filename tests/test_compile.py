@@ -23,6 +23,7 @@ from bnquery import (
 )
 from corpus import (
     chain_parents,
+    random_forest,
     random_network,
     star_parents,
     structure_network,
@@ -212,7 +213,7 @@ def test_single_clique_tree():
     assert len(tree.cliques) == 1
     c = tree.cliques[0]
     assert c.separator == () and set(c.residual) == {"a", "b"}
-    assert tree.roots == (0,)
+    assert c.parent is None
 
 
 def test_asia_tree_structure(asia_bn):
@@ -280,11 +281,8 @@ def test_compile_invariants_random(seed):
             assert c.separator == ()
         earlier |= c.member_set
 
-    for root in tree.roots:
-        comp = tree.subtree_variables(root)
-        for c in tree.cliques:
-            if tree.root_of[c.id] == root:
-                assert c.member_set <= comp
+    assert [c.id for c in tree.cliques if c.parent is None] == [0]
+    assert tree.subtree_variables(0) == frozenset(bn.names)
 
     # variables partition into residuals
     owners = [n for c in tree.cliques for n in c.residual]
@@ -316,7 +314,7 @@ def test_running_intersection_violation_is_reported():
         order_cliques(bogus, g, priority)
 
 
-def test_disconnected_network_compiles_to_forest():
+def test_disconnected_network_compiles_to_one_tree():
     vs = {n: bnquery.Variable(n, ("0", "1")) for n in "abcd"}
     bn = bnquery.BayesianNetwork(
         [vs["a"], vs["b"], vs["c"], vs["d"]],
@@ -329,9 +327,45 @@ def test_disconnected_network_compiles_to_forest():
         },
     )
     tree = compile_network(bn)
-    assert len(tree.roots) == 2
-    components = {tree.subtree_variables(r) for r in tree.roots}
-    assert components == {frozenset("ab"), frozenset("cd")}
+    ab, cd = tree.cliques
+    assert ab.member_set == frozenset("ab") and ab.parent is None
+    # the second component hangs from the first through an empty separator
+    assert cd.member_set == frozenset("cd") and cd.separator == ()
+    assert cd.parent == ab.id
+    assert tree.subtree_variables(cd.id) == frozenset("cd")
+
+
+ONE_TREE_NETWORKS = {
+    **{
+        f"forest{s}": lambda s=s: random_forest(np.random.default_rng(3000 + s), 7)
+        for s in range(8)
+    },
+    **{
+        f"random{s}": lambda s=s: random_network(np.random.default_rng(3100 + s), 10)
+        for s in range(8)
+    },
+    "three_parts": lambda: structure_network(forest_parents()),
+    "windowed1000": lambda: structure_network(windowed_parents(1000)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ONE_TREE_NETWORKS))
+def test_components_link_into_one_heap_shaped_tree(label):
+    # only clique 0 lacks a parent; component j >= 1 hangs its first clique
+    # from component (j - 1) // 2's, so no clique takes more than two
+    tree = compile_network(ONE_TREE_NETWORKS[label]())
+    assert [c.id for c in tree.cliques if c.parent is None] == [0]
+    firsts = [c.id for c in tree.cliques if not c.separator]  # each component's first
+    assert firsts[0] == 0
+    for j, cid in enumerate(firsts[1:], start=1):
+        assert tree.cliques[cid].parent == firsts[(j - 1) // 2]
+    for c in tree.cliques:
+        assert sum(not tree.cliques[ch].separator for ch in tree.children[c.id]) <= 2
+    # a hung subtree shares no variable with the cliques ranked before it
+    for cid in firsts[1:]:
+        below = tree.subtree_variables(cid)
+        above = {n for c in tree.cliques if c.id < cid for n in c.members}
+        assert not below & above
 
 
 def forest_parents():
@@ -360,7 +394,7 @@ INTERVAL_NETWORKS = {
 
 @pytest.mark.parametrize("label", sorted(INTERVAL_NETWORKS))
 def test_preorder_intervals_match_parent_links(label):
-    # the component roots, upward paths and subtree variables must say what
+    # the one root, upward paths and subtree variables must say what
     # the parent links say, and the routing rule (a variable outside a
     # clique lies below its child iff its owner does) must hold exactly
     tree = compile_network(INTERVAL_NETWORKS[label]())
@@ -378,7 +412,7 @@ def test_preorder_intervals_match_parent_links(label):
     for c in tree.cliques:
         assert list(tree.children[c.id]) == [d.id for d in tree.cliques if d.parent == c.id]
         assert list(tree.path_up(c.id)) == walked[c.id]
-        assert tree.root_of[c.id] == walked[c.id][-1]
+        assert walked[c.id][-1] == 0
         assert tree.subtree_variables(c.id) == variables[c.id]
         for ch in tree.children[c.id]:
             for name in tree.owner:
@@ -494,10 +528,11 @@ LARGE_NETWORKS = {
 
 #: Digests of the min-fill order, the fill edges, the find_cliques list and
 #: the compiled tree, recorded with the quadratic algorithms that
-#: tests/reference.py keeps.
+#: tests/reference.py keeps.  windowed1000 has 60 components; its tree
+#: digest was re-recorded when components were linked into one tree.
 LARGE_GOLDENS = {
     "windowed1000": (
-        "6b2438de6eba9e5b", "8ed56458d18d9a8c", "7c624534cb9ee028", "45c616f46164024d"
+        "6b2438de6eba9e5b", "8ed56458d18d9a8c", "7c624534cb9ee028", "e1263c4a87e602f7"
     ),
     "star1000": (
         "fdbfd05978f1a05b", "e3b0c44298fc1c14", "1ec7e103d46d3d02", "36cc1602be5734fb"
@@ -505,6 +540,14 @@ LARGE_GOLDENS = {
     "chain3000": (
         "8326d0761e93928f", "e3b0c44298fc1c14", "1ee9c9a5af238ccf", "e62447554f0e0e72"
     ),
+}
+
+#: The tree digest with each hung component's parent read as None: the
+#: forest the same cliques compiled to before components were linked.
+FOREST_GOLDENS = {
+    "windowed1000": "45c616f46164024d",
+    "star1000": "36cc1602be5734fb",
+    "chain3000": "e62447554f0e0e72",
 }
 
 
@@ -526,6 +569,10 @@ def test_large_graph_compile_goldens(label):
         digest(",".join(sorted(c)) for c in cliques),
         digest(f"{c.members}|{c.separator}|{c.parent}" for c in tree.cliques),
     ) == LARGE_GOLDENS[label]
+    unlinked = (c.parent if c.separator else None for c in tree.cliques)
+    assert digest(
+        f"{c.members}|{c.separator}|{parent}" for c, parent in zip(tree.cliques, unlinked)
+    ) == FOREST_GOLDENS[label]
 
 
 def test_star_compile_time_is_near_linear():

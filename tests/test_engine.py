@@ -45,6 +45,12 @@ def assert_settled(engine):
     assert fresh.evidence_probability() == mass
 
 
+def component_of(tree, cid):
+    """A clique's component, named by its first clique: the first clique
+    on the way up with an empty separator."""
+    return next(c for c in tree.path_up(cid) if not tree.cliques[c].separator)
+
+
 def engine_for(seed, n=8, **kwargs):
     rng = np.random.default_rng(seed)
     bn = random_network(rng, n)
@@ -130,7 +136,7 @@ def test_traces_match_a_recursive_descent():
                 k = int(rng.integers(1, 4))
                 targets = tuple(str(t) for t in rng.choice(bn.names, k, replace=False))
                 if frozenset(targets) in asked:
-                    continue  # the whole-query memo answers a repeat
+                    continue  # clique 0's whole-query answer answers a repeat
                 asked.add(frozenset(targets))
                 cached = set(engine._cache)
                 trace = []
@@ -141,11 +147,11 @@ def test_traces_match_a_recursive_descent():
                 ]
                 assert got == ref_trace(tree, cached, targets)
                 hits = [e.clique_id for e in trace if e.resolution == "cache"]
-                roots = {tree.root_of[e.clique_id] for e in trace}
+                components = {component_of(tree, tree.owner[t]) for t in targets}
                 visited = [e.clique_id for e in trace]
                 out_of_rank += visited != sorted(visited)
                 mid_tree_hits += any(tree.cliques[c].parent is not None for c in hits)
-                cross_component_hits += bool(hits) and len(roots) > 1
+                cross_component_hits += bool(hits) and len(components) > 1
     # some descents visit cliques out of rank order
     assert mid_tree_hits and cross_component_hits and out_of_rank
 
@@ -240,11 +246,11 @@ def test_query_errors(asia_engine):
         asia_engine.query_conditional(["A"], ["A"])
 
 
-def two_chain_forest():
-    """a -> b and c -> d: two components."""
+def two_chain_forest(declared="abcd"):
+    """a -> b and c -> d: two components, ranked in declaration order."""
     vs = {n: bnquery.Variable(n, ("0", "1")) for n in "abcd"}
     return bnquery.BayesianNetwork(
-        [vs[n] for n in "abcd"],
+        [vs[n] for n in declared],
         {"a": (), "b": ("a",), "c": (), "d": ("c",)},
         {
             "a": bnquery.Factor([vs["a"]], [0.3, 0.7]),
@@ -265,17 +271,163 @@ def test_multi_component_query_multiplies_parts():
 
 
 def test_evidence_only_component_is_weighed_but_not_walked():
-    bn = two_chain_forest()
+    # either component may hold clique 0; the walk enters the evidence-only
+    # one only on the way up to clique 0
+    for declared, passes_through in (("abcd", False), ("cdab", True)):
+        bn = two_chain_forest(declared)
+        engine = QueryEngine(bn)
+        tree = engine.tree
+        engine.observe("d", 1)
+        evidence_side = component_of(tree, tree.owner["d"])
+        trace = []
+        got = engine.query_joint(["b"], trace=trace)
+        sliced = substitute(enumerate_joint(bn), "d", 1)
+        want = sum_out(sliced, ["a", "c"])
+        assert max_deviation(got, want) <= 1e-12
+        walked = {e.clique_id for e in trace}
+        entered = {cid for cid in walked if component_of(tree, cid) == evidence_side}
+        assert entered <= set(tree.path_up(tree.owner["b"]))
+        assert bool(entered) == passes_through
+
+
+def test_a_finding_in_one_of_many_components_costs_log_components():
+    # 1,024 components a_i -> b_i, one 4-cell clique each: a finding
+    # refreshes the cliques on its path up to clique 0, at most
+    # log2(1024) + 1 of them, each multiplying in at most two messages, and
+    # a read makes one 8-cell product per clique on the same path
+    k = 1024
+    rng = np.random.default_rng(1024)
+    variables, parents, cpts = [], {}, {}
+    for i in range(k):
+        a = bnquery.Variable(f"a{i}", ("0", "1"))
+        b = bnquery.Variable(f"b{i}", ("0", "1"))
+        p, q = rng.uniform(0.1, 0.9, size=2), rng.uniform(0.1, 0.9)
+        variables += [a, b]
+        parents[a.name], parents[b.name] = (), (a.name,)
+        cpts[a.name] = bnquery.Factor([a], [q, 1 - q])
+        cpts[b.name] = bnquery.Factor([a, b], np.stack([p, 1 - p], axis=1))
+    bn = bnquery.BayesianNetwork(variables, parents, cpts)
+    engine = QueryEngine(bn)
+    bound = 8 * (np.log2(k) + 1)  # hanging all from clique 0 costs 2,046
+    for i in (0, 1, 2, 500, k - 1):
+        before = engine.op_counters().multiplications
+        engine.observe(f"b{i}", 1)
+        mass = engine.evidence_probability()
+        assert engine.op_counters().multiplications - before <= bound
+        before = engine.op_counters().multiplications
+        got = engine.query_conditional([f"a{i}"])
+        assert engine.op_counters().multiplications - before <= bound
+        prior, likelihood = bn.cpt(f"a{i}").values, bn.cpt(f"b{i}").values[:, 1]
+        want = prior * likelihood
+        assert np.allclose(got.values, want / want.sum(), atol=1e-12, rtol=0)
+        assert mass == pytest.approx(want.sum(), abs=1e-12)
+        engine.retract(f"b{i}")
+
+
+def test_impossible_evidence_in_an_evidence_only_component_zeroes_every_answer():
+    # c is surely 0; observing c = 1 leaves no mass, in either component order
+    for declared in ("abcd", "cdab"):
+        shape = two_chain_forest(declared)
+        cpts = dict(shape.cpts)
+        cpts["c"] = bnquery.Factor([shape.var("c")], [1.0, 0.0])
+        engine = QueryEngine(bnquery.BayesianNetwork(shape.variables, shape.parents, cpts))
+        engine.observe("c", 1)
+        assert engine.evidence_probability() == 0
+        answers = [
+            engine.query_joint(["b"]),
+            engine.query_joint(["a", "b"]),
+            engine.query_joint(["d"]),
+            engine.query_conditional(["b"]),
+            engine.query_conditional(["a"], ["b"]),
+            engine.query_conditional(["b"], ["d"]),
+        ]
+        assert all(not answer.values.any() for answer in answers)
+
+
+def test_impossible_evidence_deep_in_the_component_heap_zeroes_every_answer():
+    # eight components x_i -> y_i, ranked in declaration order; the eighth
+    # hangs below the fourth, the second and the first
+    variables, parents, cpts = [], {}, {}
+    for i in range(8):
+        x, y = bnquery.Variable(f"x{i}", ("0", "1")), bnquery.Variable(f"y{i}", ("0", "1"))
+        variables += [x, y]
+        parents[x.name], parents[y.name] = (), (x.name,)
+        cpts[x.name] = bnquery.Factor([x], [1.0, 0.0] if i == 7 else [0.4, 0.6])
+        cpts[y.name] = bnquery.Factor([x, y], [0.2, 0.8, 0.7, 0.3])
+    engine = QueryEngine(bnquery.BayesianNetwork(variables, parents, cpts))
+    tree = engine.tree
+    firsts = [c for c in tree.path_up(tree.owner["x7"]) if not tree.cliques[c].separator]
+    assert len(firsts) == 4
+    engine.observe("x7", 1)
+    assert engine.evidence_probability() == 0
+    for targets in (["y0"], ["x3", "y5"], ["y7"]):
+        assert not engine.query_joint(targets).values.any()
+        assert not engine.query_conditional(targets).values.any()
+    engine.retract("x7")
+    assert engine.query_conditional(["y0"]).values.sum() == pytest.approx(1)
+
+
+def stars_and_a_chain(stars, leaves, declared_first):
+    """Naive-Bayes stars s0C -> s0L0.. plus a chain x -> y -> z, one component
+    each; ``declared_first`` puts the chain ahead of the stars."""
+    variables, parents, cpts = [], {}, {}
+
+    def add(name, family, values):
+        v = bnquery.Variable(name, ("0", "1"))
+        variables.append(v)
+        parents[name] = family
+        cpts[name] = bnquery.Factor(
+            [next(u for u in variables if u.name == p) for p in family] + [v], values
+        )
+
+    def chain():
+        add("x", (), [0.3, 0.7])
+        add("y", ("x",), [[0.2, 0.8], [0.9, 0.1]])
+        add("z", ("y",), [[0.6, 0.4], [0.25, 0.75]])
+
+    if declared_first:
+        chain()
+    for s in range(stars):
+        add(f"s{s}C", (), [0.5, 0.5])
+        for i in range(leaves):
+            add(f"s{s}L{i}", (f"s{s}C",), [[0.9, 0.1], [0.8, 0.2]])
+    if not declared_first:
+        chain()
+    return bnquery.BayesianNetwork(variables, parents, cpts)
+
+
+@pytest.mark.parametrize("stars", [2, 4])
+@pytest.mark.parametrize("declared_first", [False, True])
+def test_a_small_mass_in_one_component_leaves_the_others_exact(stars, declared_first):
+    # every leaf observed at its unlikely state: each star's mass is about
+    # 1e-210, in float range, but any two multiplied are not; with four
+    # stars, components also hang below hung components
+    leaves = 300
+    bn = stars_and_a_chain(stars, leaves, declared_first)
     engine = QueryEngine(bn)
     tree = engine.tree
-    engine.observe("d", 1)
-    evidence_root = tree.root_of[tree.owner["d"]]
-    trace = []
-    got = engine.query_joint(["b"], trace=trace)
-    sliced = substitute(enumerate_joint(bn), "d", 1)
-    want = sum_out(sliced, ["a", "c"])
-    assert max_deviation(got, want) <= 1e-12
-    assert trace and all(tree.root_of[e.clique_id] != evidence_root for e in trace)
+    assert sum(1 for c in tree.cliques if not c.separator) == stars + 1
+    for s in range(stars):
+        for i in range(leaves):
+            engine.observe(f"s{s}L{i}", 1)
+    # naive Bayes in log space: log P(C) + leaves * log P(leaf = 1 | C)
+    log_p = np.log([0.5, 0.5]) + leaves * np.log([0.1, 0.2])
+    want = np.exp(log_p - log_p.max())
+    want /= want.sum()
+    for s in range(stars):
+        got = engine.query_conditional([f"s{s}C"])
+        assert np.allclose(got.values, want, atol=1e-12, rtol=0)
+    # the chain holds no finding, so it reads its prior
+    chain = bnquery.BayesianNetwork(
+        [bn.var(n) for n in "xyz"], {n: bn.parents[n] for n in "xyz"},
+        {n: bn.cpt(n) for n in "xyz"},
+    )
+    joint = enumerate_joint(chain)
+    for targets, given in ((["y"], []), (["x", "z"], []), (["z"], ["x"])):
+        got = engine.query_conditional(targets, given)
+        assert max_deviation(got, oracle_query(joint, targets, given)) <= 1e-12
+    # the mass is below float range but not impossible evidence
+    assert 0 < engine.evidence_probability() < 1e-300
 
 
 # -- evidence ----------------------------------------------------------------------
@@ -332,7 +484,7 @@ def test_unnormalized_total_is_evidence_probability(asia_engine, asia_joint):
 
 def test_live_records_factor_the_joint_sliced_at_the_evidence():
     # every live conditional, a root's included, is P(residual | separator,
-    # evidence below); only the evidence roots' messages carry P(evidence)
+    # evidence below); only clique 0's message carries P(evidence)
     for seed in range(40):
         rng = np.random.default_rng(400 + seed)
         bn = random_network(rng, int(rng.integers(3, 11)))
@@ -350,7 +502,7 @@ def test_live_records_factor_the_joint_sliced_at_the_evidence():
         product = unit_factor()
         for c in engine.tree.cliques:
             product = multiply(product, engine.stored_conditional(c.id))
-        # the product of the evidence roots' messages
+        # clique 0's message
         product = multiply(product, bnquery.Factor((), [engine.evidence_probability()]))
         assert max_deviation(product, sliced) <= 1e-9
 
@@ -600,7 +752,7 @@ def test_writes_apply_at_the_next_read(asia_engine):
 
 def test_cancelling_writes_keep_the_memo(asia_engine):
     # writes that leave the evidence as the tables hold it change nothing,
-    # so the whole-query memo still answers
+    # so clique 0's whole-query answer still answers
     asia_engine.query_joint(["A", "X", "S"])
     before = asia_engine.op_counters()
     asia_engine.observe("E", 0)
@@ -611,6 +763,31 @@ def test_cancelling_writes_keep_the_memo(asia_engine):
     assert after.multiplications == before.multiplications
     assert after.summations == before.summations
     assert [event.resolution for event in trace] == ["memo"]
+
+
+def test_a_what_if_keeps_the_work_done_before_it(asia_engine):
+    # the transient finding is applied to tables and a cache of its own, and
+    # those of the standing evidence are put back as they were
+    first = asia_engine.query_joint(["A", "X", "S"])
+    d_yes = asia_engine.bn.state_index("D", "yes")
+    asia_engine.query_conditional(["T"], transient_evidence=[("D", d_yes)])
+    before = asia_engine.op_counters()
+    trace = []
+    again = asia_engine.query_joint(["A", "X", "S"], trace=trace)
+    after = asia_engine.op_counters()
+    assert after.multiplications == before.multiplications
+    assert after.summations == before.summations
+    assert [event.resolution for event in trace] == ["memo"]
+    assert again is first
+    # with findings standing, a what-if applies them first and keeps them
+    asia_engine.observe("S", 0)
+    posterior = asia_engine.query_conditional(["X"], transient_evidence=[("B", 1)])
+    assert asia_engine.evidence == {"S": 0}
+    assert_settled(asia_engine)
+    fresh = QueryEngine(asia_engine.bn, elimination_order=bnquery.ASIA_GOLDEN_ORDER)
+    fresh.observe("S", 0)
+    fresh.observe("B", 1)
+    assert np.array_equal(fresh.query_conditional(["X"]).values, posterior.values)
 
 
 @pytest.mark.parametrize("undo", ["failed what-if", "observe then retract", "re-observe"])
@@ -706,9 +883,9 @@ def test_repeat_query_joint_returns_the_stored_answer(asia_engine):
 
 
 def test_repeat_query_across_components_with_evidence_is_free():
-    # the whole-query memo also saves multiplying the per-component answers
+    # the whole-query answer also saves walking both components again
     engine = QueryEngine(two_chain_forest())
-    assert len(engine.tree.roots) == 2
+    assert sum(not c.separator for c in engine.tree.cliques) == 2
     engine.observe("a", 0)
     engine.observe("d", 1)
     first = engine.query_conditional(["b", "c"])
@@ -753,7 +930,9 @@ def test_an_answer_over_all_of_a_querys_targets_is_not_cached(asia_engine):
     # test_overlapping_query_reuses_subtree_work and criterion 6 check
     asia_engine.query_joint(["A", "X", "S"])
     by_members = {c.member_set: c.id for c in asia_engine.tree.cliques}
-    assert not any(k[1] == frozenset("AXS") for k in asia_engine._cache)
+    # only clique 0 keeps it, as the whole-query answer
+    whole = [k[0] for k in asia_engine._cache if k[1] == frozenset("AXS")]
+    assert whole == [0]
     for members, targets in (("LEB", "XS"), ("BED", "X"), ("EX", "X")):
         key = (by_members[frozenset(members)], frozenset(targets))
         assert key in asia_engine._cache
@@ -803,9 +982,11 @@ def test_multi_target_stream_caches_no_whole_query_answer():
         b = uncached.query_joint(targets)
         assert a.names == b.names
         assert np.array_equal(a.values, b.values)
-        # an earlier, larger query may have cached a part over these targets
+        # an earlier, larger query may have cached a part over these targets;
+        # clique 0 keeps the whole-query answer
         added = set(cached._cache) - keys
-        assert not any(k[1] == frozenset(targets) for k in added)
+        assert (0, frozenset(targets)) in added
+        assert not any(k[1] == frozenset(targets) for k in added if k[0] != 0)
     assert cached.op_counters().cache_hits > 0
 
 

@@ -9,6 +9,8 @@ from bnquery import (
     BadStateError,
     Factor,
     IncompatibleVariableError,
+    InferenceError,
+    InvalidFactorError,
     MissingVariableError,
     OpCounters,
     Variable,
@@ -61,6 +63,27 @@ def test_constructor_rejects_bad_values():
         Factor([B], [0.5, float("inf")])
     with pytest.raises(ValueError):
         Factor([B, B], np.ones((2, 2)))
+
+
+def test_malformed_factors_raise_one_typed_error():
+    # typed for callers catching InferenceError, still a ValueError for
+    # callers catching that
+    cases = [
+        lambda: Variable("", ("0", "1")),
+        lambda: Variable("V", ()),
+        lambda: Variable("V", ("0", "0")),
+        lambda: Factor([B, B], np.ones((2, 2))),
+        lambda: Factor([B], [0.1, 0.2, 0.3]),
+        lambda: Factor([B], [0.5, float("nan")]),
+        lambda: Factor([B], [0.5, -0.1]),
+    ]
+    for make in cases:
+        with pytest.raises(InvalidFactorError) as caught:
+            make()
+        assert isinstance(caught.value, InferenceError)
+        assert isinstance(caught.value, ValueError)
+    with np.errstate(over="ignore"), pytest.raises(InvalidFactorError, match="finite"):
+        sum_out(Factor([B], [1e308, 1e308]), {"B"})
 
 
 def test_factors_are_immutable():

@@ -28,6 +28,13 @@ def test_bar_side_optional():
     assert parse_query("P(D|)").targets == ("D",)
 
 
+def test_names_may_hold_any_other_punctuation():
+    q = parse_query("P(lung.ca, x-ray | tb/or:ca, smoker's=yes)")
+    assert q.targets == ("lung.ca", "x-ray")
+    assert q.given == ("tb/or:ca",)
+    assert q.transient_evidence == (("smoker's", "yes"),)
+
+
 def test_underscored_names():
     q = parse_query("P(node_1 | node_2=s_0)")
     assert q.targets == ("node_1",)
@@ -45,6 +52,10 @@ def test_underscored_names():
         "P(A | B=)",         # empty state
         "P(A | =yes)",       # empty name
         "P(A B)",            # not comma separated
+        "P(A | B C)",        # not comma separated, right of the bar
+        "P(A | B C=yes)",    # a bound name with a space
+        "P(A | B | C)",      # a second bar
+        "P(A(B))",           # a name holding a parenthesis
     ],
 )
 def test_rejects_malformed(bad):

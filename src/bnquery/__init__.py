@@ -57,8 +57,6 @@ from .preprocess import (
     assign_cpts,
     collect_conditionals,
     compute_potentials,
-    distribute_marginals,
-    node_marginals,
     preprocess,
 )
 from .queryparse import ParsedQuery, parse_query

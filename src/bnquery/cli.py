@@ -18,7 +18,6 @@ from .errors import InferenceError
 from .factors import Factor
 from .netfile import load_network
 from .oracle import enumerate_joint, max_deviation, oracle_query
-from .preprocess import distribute_marginals, node_marginals
 from .queryparse import ParsedQuery, parse_query
 
 DEFAULT_SIG_DIGITS = 6
@@ -222,19 +221,14 @@ class Session:
             self._fail("usage: show tree|marginals|counters")
 
     def _show_marginals(self) -> None:
-        engine = self.engine
-        conditionals = {c.id: engine.stored_conditional(c.id) for c in engine.tree.cliques}
-        marginals = node_marginals(
-            self.bn, engine.tree, distribute_marginals(engine.tree, conditionals)
-        )
-        evidence = engine.evidence
+        evidence = self.engine.evidence
         for v in self.bn.variables:
             if v.name in evidence:
                 print(f"{v.name}: observed = {v.states[evidence[v.name]]}")
                 continue
+            marginal = self.engine.query_conditional([v.name])
             cells = " ".join(
-                f"{label}={self._fmt(float(x))}"
-                for label, x in zip(v.states, marginals[v.name].flat)
+                f"{label}={self._fmt(float(x))}" for label, x in zip(v.states, marginal.flat)
             )
             print(f"{v.name}: {cells}")
 

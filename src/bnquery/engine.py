@@ -1,18 +1,27 @@
 """Goal-directed query answering over a preprocessed clique tree.
 
-A query for a set of target variables visits the owner of each target
-(the clique holding it in its residual) and the owner's ancestors, the
-same walk an evidence refresh makes, and answers them children first.  A
+A query for a set of target variables opens at L, the targets' lowest
+common clique: the deepest clique whose subtree holds every target's
+owner (the clique holding it in its residual).  It visits each owner and
+the owner's ancestors up to L, and answers them children first.  A
 visited clique is asked for the targets whose owners lie in its subtree:
 those in its residual stay put, the others are requested from its visited
 children (a child with no targets below it is never asked), and the child
 answers are multiplied with the clique's stored residual conditional
-before the unwanted residual variables are summed away.  A per-clique
-answer is cached under (clique, target set), so repeated and overlapping
-queries reuse earlier work, and a hit answers its clique's whole subtree.
-Every walk ends at the one root, clique 0, so a query's answer is clique
-0's entry over all its targets, stored in request order and read before
-the walk; no other entry over all of two or more targets is cached.
+before the unwanted residual variables are summed away.  L's answer is
+P(targets | separator of L, evidence).  Above L the walk would only weigh
+it by the distribution of that separator, so unless L is clique 0 the
+answer is multiplied by P(separator | evidence), summed from the clique
+marginal of L's parent, and the separator is summed away.  Clique
+marginals P(members | evidence) are the distribute pass run lazily: each
+is computed top-down on first use (clique 0's is its live conditional, a
+child's its live conditional times the parent's marginal summed to the
+separator) and kept until the next refresh.  A per-clique answer is
+cached under (clique, target set), so repeated and overlapping queries
+reuse earlier work, and a hit answers its clique's whole subtree.  A
+query's answer is clique 0's entry over all its targets, stored in
+request order and read before the walk; no other entry over all of two
+or more targets is cached.
 
 Each clique has one ``CliqueState`` record in two maps: ``prep`` holds
 the pristine records from preprocessing, and the live map the records the
@@ -33,9 +42,14 @@ eager refresh after each write would, and writes that cancel out cost
 nothing.  A clique with no evidence left in its subtree takes back its
 pristine record.  The refresh drops the cache entries keyed on a
 refreshed clique, clique 0's among them; the others depend on no table
-that changed.  ``query_joint`` multiplies an answer, P(targets |
+that changed.  Every refresh touches clique 0, so it drops every clique
+marginal.  The marginals are kept whether or not answers are cached:
+they are tree state, like the live map, bounded by the tree's total
+cells.  ``query_joint`` multiplies an answer, P(targets |
 evidence), by clique 0's message P(evidence).  Impossible evidence in any
-component zeroes clique 0's conditional, and so every answer.
+component zeroes clique 0's conditional, and so every clique marginal and
+every answer: a walk from below clique 0 is weighed by a zero separator
+marginal.
 
 An engine instance is strictly single-threaded: queries may not overlap
 observe/retract calls, and the caches are plain dicts.  The factor tables
@@ -106,6 +120,7 @@ class QueryEngine:
         self._evidence: dict[str, int] = {}
         self._applied: dict[str, int] = {}  # the evidence the live tables hold
         self._cache: dict[tuple[int, frozenset[str]], Factor] = {}
+        self._marginals: dict[int, Factor] = {}  # clique marginals, filled on first use
         self._counters = OpCounters()
 
     # -- introspection ------------------------------------------------------
@@ -193,7 +208,7 @@ class QueryEngine:
             return normalize_conditional(joint, tg)
         if self._evidence != self._applied:
             self._refresh()
-        kept = self._evidence, self._applied, self._live, self._cache
+        kept = self._evidence, self._applied, self._live, self._cache, self._marginals
         # A refresh edits the live map in place.
         self._evidence, self._live = dict(self._evidence), dict(self._live)
         try:
@@ -202,7 +217,7 @@ class QueryEngine:
             joint = self._posterior(self._check_targets(tg + gv), trace)
             return normalize_conditional(joint, tg)
         finally:
-            self._evidence, self._applied, self._live, self._cache = kept
+            self._evidence, self._applied, self._live, self._cache, self._marginals = kept
 
     def query(self, q: Query, *, trace: list[TraceEvent] | None = None) -> Factor:
         return self.query_conditional(
@@ -282,53 +297,70 @@ class QueryEngine:
                 live[cid] = collect_step(tree, cid, potential, live, self._counters)
         self._applied = dict(evidence)
         self._cache = {k: f for k, f in self._cache.items() if k[0] not in touched}
+        self._marginals = {}
 
     # -- decomposition ------------------------------------------------------
 
     def _resolve(self, tg: tuple[str, ...], trace: list[TraceEvent] | None) -> Factor:
-        """P(targets | evidence): clique 0's answer over all the targets.
+        """P(targets | evidence), from the targets' lowest common clique.
 
-        A query visits the owner of each target and the owner's ancestors,
-        the walk the refresh makes, and a visited clique is asked for the
-        targets whose owners lie in its subtree.  The look-up opens the
-        asked cliques depth first from clique 0, children in ascending
-        rank: the order a recursive descent opens its visits and emits
-        their trace events.  A cache hit answers its whole subtree, so the
-        cliques below it are not opened.  The misses are then computed in
-        reverse, children first: the live conditional times the asked
-        children's answers in ascending rank, with the residual names that
-        are not targets summed away.  Each computed answer is cached unless
-        it covers all of two or more targets: a repeat of the query finds
-        the answer ``_posterior`` stores under clique 0 first, and a
-        superset query or a write outside the clique's subtree rarely comes
-        to read it (on the benchmark's query-mix stream 4 of
-        32,973 such entries were hit, and they held nine tenths of the
-        cached cells).  Both passes are loops, so tree depth is bounded by
-        memory, not by the interpreter's recursion limit.
+        A query visits the owner of each target and the owner's ancestors
+        up to L, the deepest clique asked for every target (their owners'
+        lowest common ancestor, found by lifting the highest-ranked owner
+        until all meet), and a visited clique is asked for the targets
+        whose owners lie in its subtree.  The look-up opens the asked
+        cliques depth first from L, children in ascending rank: the order
+        a recursive descent opens its visits and emits their trace events.
+        A cache hit answers its whole subtree, so the cliques below it are
+        not opened.  The misses are then computed in reverse, children
+        first: the live conditional times the asked children's answers in
+        ascending rank, with the residual names that are not targets summed
+        away.  L's answer is P(targets | sep_L, evidence); unless L is
+        clique 0 it is weighed by P(sep_L | evidence), summed from the
+        parent's clique marginal (``_marginal``), and the separator is
+        summed away.  The weight is taken even when the separator is empty
+        or observed: then it is the scalar 1, or 0 under impossible
+        evidence elsewhere.  Only the walk from L down is traced.
+
+        Each key is looked up at most once per query: clique 0's key over
+        the targets is the one ``_posterior`` has just missed, so it is
+        neither looked up nor stored here.  Every other computed answer is
+        cached, unless it is L's over two or more targets: a repeat of the
+        query reads clique 0's entry first.  Both passes are loops, so tree
+        depth is bounded by memory, not by the interpreter's recursion
+        limit.
         """
         tree, cache, counters = self.tree, self._cache, self._counters
-        whole = frozenset(tg) if len(tg) > 1 else None  # cached by _posterior
+        heads = {tree.owner[t] for t in tg}
+        while len(heads) > 1:
+            deepest = max(heads)
+            heads.remove(deepest)
+            heads.add(tree.cliques[deepest].parent)
+        (top,) = heads
         asked: dict[int, list[str]] = {}
         for t in tg:
             for cid in tree.path_up(tree.owner[t]):
                 asked.setdefault(cid, []).append(t)
+                if cid == top:
+                    break
+        unkept = (top, frozenset(tg)) if top == 0 or len(tg) > 1 else None
         answers: dict[int, Factor] = {}
         missed: dict[int, tuple[tuple[int, frozenset[str]], list[int], list[str]]] = {}
-        stack = [0]
+        stack = [top]
         while stack:
             cid = stack.pop()
             clique = tree.cliques[cid]
             targets = tuple(asked[cid])
             key = (cid, frozenset(targets))
-            if self.cache_enabled and key in cache:
-                counters.cache_hits += 1
-                answers[cid] = cache[key]
-                if trace is not None:
-                    trace.append(
-                        TraceEvent(cid, targets, clique.separator, (), "cache")
-                    )
-                continue
-            if self.cache_enabled:
+            if self.cache_enabled and cid:  # clique 0's key is _posterior's
+                if key in cache:
+                    counters.cache_hits += 1
+                    answers[cid] = cache[key]
+                    if trace is not None:
+                        trace.append(
+                            TraceEvent(cid, targets, clique.separator, (), "cache")
+                        )
+                    continue
                 counters.cache_misses += 1
             kids = [ch for ch in tree.children[cid] if ch in asked]  # ascending rank
             names = self._live[cid].conditional.names
@@ -350,10 +382,43 @@ class QueryEngine:
                 answer = multiply(answer, answers[ch], counters)
             if sum_away:
                 answer = sum_out(answer, sum_away, counters)
-            if self.cache_enabled and key[1] != whole:
+            if self.cache_enabled and key != unkept:
                 cache[key] = answer
             answers[cid] = answer
-        return answers[0]
+        answer = answers[top]
+        if top:
+            separator = tree.cliques[top].separator
+            above = self._marginal(tree.cliques[top].parent)
+            weight = sum_out(above, [n for n in above.names if n not in separator], counters)
+            answer = multiply(answer, weight, counters)
+            answer = sum_out(answer, weight.names, counters)
+        return answer
+
+    def _marginal(self, cid: int) -> Factor:
+        """P(members of ``cid`` | evidence), computed top-down on first use.
+
+        Clique 0's marginal is its live conditional; a child's is its live
+        conditional times its parent's marginal summed to its separator (the
+        distribute pass, run lazily).  Every refresh touches clique 0 and so
+        drops the whole map.
+        """
+        tree, marginals = self.tree, self._marginals
+        path = []
+        for c in tree.path_up(cid):
+            if c in marginals:
+                break
+            path.append(c)
+        for c in reversed(path):
+            clique, conditional = tree.cliques[c], self._live[c].conditional
+            if clique.parent is None:
+                marginals[c] = conditional
+                continue
+            above = marginals[clique.parent]
+            drop = [n for n in above.names if n not in clique.separator]
+            marginals[c] = multiply(
+                conditional, sum_out(above, drop, self._counters), self._counters
+            )
+        return marginals[cid]
 
     # -- validation ---------------------------------------------------------
 

@@ -204,6 +204,8 @@ def distribute_marginals(
 ) -> dict[int, Factor]:
     """Increasing-rank pass producing each clique's joint P(members | evidence).
 
+    The engine computes the same marginals lazily, one path at a time
+    (``QueryEngine._marginal``); this is the eager pass over every clique.
     Each table is summed down to the child's separator over its own scope,
     so variables sliced out by evidence are simply absent.
     """
@@ -216,17 +218,6 @@ def distribute_marginals(
             drop = [n for n in parent.names if n not in c.separator]
             marginals[c.id] = multiply(conditionals[c.id], sum_out(parent, drop))
     return marginals
-
-
-def node_marginals(
-    bn: BayesianNetwork, tree: CliqueTree, marginals: dict[int, Factor]
-) -> dict[str, Factor]:
-    """Single-variable marginals, read from the lowest-ranked containing clique."""
-    out: dict[str, Factor] = {}
-    for name in bn.names:
-        m = marginals[tree.containing[name][0]]
-        out[name] = sum_out(m, [n for n in m.names if n != name])
-    return out
 
 
 def preprocess(bn: BayesianNetwork, tree: CliqueTree) -> dict[int, CliqueState]:

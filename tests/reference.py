@@ -178,8 +178,11 @@ def ref_trace(tree, cached_keys, targets):
     """Trace events of a recursive descent, without evidence.
 
     Each event is (clique id, targets, separator, requests, resolution),
-    the fields of an engine ``TraceEvent``.  The tree is entered at its
-    root, clique 0, with every target in request order.  A clique
+    the fields of an engine ``TraceEvent``.  The tree is entered with
+    every target in request order at the deepest clique whose subtree
+    holds the top clique of every target (the lowest-ranked clique that
+    contains it); whatever weighs that clique's answer above it is not
+    traced.  A clique
     whose (id, target set) key is in ``cached_keys`` is answered there;
     otherwise every target outside it is requested from the child whose
     subtree holds it, children in ascending rank, and a clique with no
@@ -212,7 +215,16 @@ def ref_trace(tree, cached_keys, targets):
         for ch, sub, _sep in requests:
             visit(ch, sub)
 
-    visit(0, tuple(targets))
+    def ancestors(cid):
+        chain = []
+        while cid is not None:
+            chain.append(cid)
+            cid = tree.cliques[cid].parent
+        return chain
+
+    tops = [min(c.id for c in tree.cliques if t in c.members) for t in targets]
+    common = set.intersection(*(set(ancestors(top)) for top in tops))
+    visit(max(common), tuple(targets))
     return events
 
 

@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "collect_conditionals",
     "compile_network",
     "compute_potentials",
-    "distribute_marginals",
     "dump_network",
     "enumerate_joint",
     "evidence_probability",
@@ -50,7 +49,6 @@ PUBLIC_NAMES = [
     "min_fill_order",
     "moralize",
     "multiply",
-    "node_marginals",
     "normalize_conditional",
     "oracle_query",
     "order_cliques",

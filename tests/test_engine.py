@@ -122,6 +122,18 @@ def test_leaf_requests_resolve_from_stored_conditionals(asia_engine):
     assert kinds[frozenset("EBD")] == "computed"
 
 
+def test_each_key_is_looked_up_once_per_query(asia_engine):
+    # clique 0's key over all the targets is looked up by the whole-query
+    # read alone, so a cold query counts one miss per visited clique
+    trace = []
+    asia_engine.query_joint(["A", "X", "S"], trace=trace)
+    assert len(trace) == asia_engine.op_counters().cache_misses == 6
+    asia_engine.reset_counters()
+    trace = []
+    asia_engine.query_joint(["A"], trace=trace)
+    assert len(trace) == asia_engine.op_counters().cache_misses == 1
+
+
 def test_traces_match_a_recursive_descent():
     # cold and warm, on networks and two-component forests: each query's
     # events are a recursive descent's, given the cache keys before it
@@ -271,9 +283,9 @@ def test_multi_component_query_multiplies_parts():
 
 
 def test_evidence_only_component_is_weighed_but_not_walked():
-    # either component may hold clique 0; the walk enters the evidence-only
-    # one only on the way up to clique 0
-    for declared, passes_through in (("abcd", False), ("cdab", True)):
+    # either component may hold clique 0; the walk opens at b's owner, so
+    # it enters no clique of the evidence-only component
+    for declared in ("abcd", "cdab"):
         bn = two_chain_forest(declared)
         engine = QueryEngine(bn)
         tree = engine.tree
@@ -285,9 +297,119 @@ def test_evidence_only_component_is_weighed_but_not_walked():
         want = sum_out(sliced, ["a", "c"])
         assert max_deviation(got, want) <= 1e-12
         walked = {e.clique_id for e in trace}
-        entered = {cid for cid in walked if component_of(tree, cid) == evidence_side}
-        assert entered <= set(tree.path_up(tree.owner["b"]))
-        assert bool(entered) == passes_through
+        assert not {cid for cid in walked if component_of(tree, cid) == evidence_side}
+
+
+def lowest_common_clique(tree, targets):
+    """The deepest clique on every target's way up to clique 0."""
+    paths = [set(tree.path_up(tree.owner[t])) for t in targets]
+    return max(set.intersection(*paths))
+
+
+def test_every_marginal_of_a_chain_costs_linear_work():
+    # a chain compiles to a clique path; each marginal opens at its owner
+    # and weighs it by the separator marginal above, which is kept, so the
+    # n marginals cost O(n), not O(n^2) as a walk up to clique 0 each does
+    work = []
+    for n in (100, 200, 400):
+        bn = chain_network(n, seed=5)
+        engine = QueryEngine(bn)
+        forward = bn.cpt(bn.names[0]).values
+        for i, name in enumerate(bn.names):
+            if i:
+                forward = forward @ bn.cpt(name).values
+            got = engine.query_conditional([name])
+            assert np.allclose(got.values, forward, atol=1e-12, rtol=0)
+        work.append(engine.op_counters().multiplications)
+        assert engine.cache_size() <= 2 * n
+    assert work[1] <= 2.5 * work[0] and work[2] <= 2.5 * work[1]
+
+
+def forest_declared_second_first(bn):
+    """The same forest with its lowercase component declared, and ranked,
+    first."""
+    variables = sorted(bn.variables, key=lambda v: not v.name.islower())
+    return bnquery.BayesianNetwork(variables, bn.parents, bn.cpts)
+
+
+def test_answers_below_clique_0_match_the_oracle():
+    # queries whose targets' lowest common clique is not clique 0, under
+    # random findings, cache on and off
+    checked = several = 0
+    for seed in range(12):
+        rng = np.random.default_rng(900 + seed)
+        if seed % 3 == 0:
+            bn = random_network(rng, 10)
+        else:
+            bn = random_forest(rng, 6)
+            if seed % 3 == 2:
+                bn = forest_declared_second_first(bn)
+        joint = enumerate_joint(bn)
+        engines = [QueryEngine(bn), QueryEngine(bn, cache_enabled=False)]
+        tree = engines[0].tree
+        names = list(bn.names)
+        for _ in range(40):
+            if rng.random() < 0.3:
+                for engine in engines:
+                    for name in list(engine.evidence):
+                        engine.retract(name)
+                for name in rng.choice(names, size=int(rng.integers(1, 4)), replace=False):
+                    state = int(rng.integers(2))
+                    for engine in engines:
+                        engine.observe(str(name), state)
+            evidence = engines[0].evidence
+            free = [n for n in names if n not in evidence]
+            k = int(rng.integers(1, 4))
+            targets = [str(t) for t in rng.choice(free, size=k, replace=False)]
+            if lowest_common_clique(tree, targets) == 0:
+                continue
+            sliced = joint
+            for name in sorted(evidence):
+                sliced = substitute(sliced, name, evidence[name])
+            want = sum_out(sliced, set(sliced.names) - set(targets))
+            joints = [engine.query_joint(targets) for engine in engines]
+            assert np.array_equal(joints[0].values, joints[1].values)
+            assert max_deviation(joints[0], want) <= 1e-12
+            if want.values.any():
+                split = min(1, len(targets) - 1)  # condition on the first of several
+                given, asked = targets[:split], targets[split:]
+                got = engines[0].query_conditional(asked, given)
+                want = oracle_query(joint, asked, given, evidence)
+                assert max_deviation(got, want) <= 1e-12
+            checked += 1
+            several += len(targets) > 1
+    assert checked >= 150 and several >= 50
+
+
+def test_impossible_evidence_outside_the_targets_component_zeroes_answers_below_clique_0():
+    # the lowercase component holds an impossible finding and no target; its
+    # zero reaches a query opened below clique 0 through the separator
+    # marginal, in either component order
+    for seed in range(4):
+        rng = np.random.default_rng(950 + seed)
+        shape = random_forest(rng, 6)
+        root = next(n for n in shape.names if n.islower() and not shape.parents[n])
+        cpts = dict(shape.cpts)
+        cpts[root] = bnquery.Factor([shape.var(root)], [1.0, 0.0])
+        bn = bnquery.BayesianNetwork(shape.variables, shape.parents, cpts)
+        for net in (bn, forest_declared_second_first(bn)):
+            for cache_enabled in (True, False):
+                engine = QueryEngine(net, cache_enabled=cache_enabled)
+                tree = engine.tree
+                upper = [n for n in net.names if not n.islower()]
+                pairs = [
+                    [a, b] for a, b in itertools.combinations(upper, 2)
+                    if lowest_common_clique(tree, [a, b]) != 0
+                ]
+                singles = [[n] for n in upper if tree.owner[n] != 0]
+                assert pairs and singles
+                for targets in singles[:3] + pairs[:3]:
+                    assert engine.query_joint(targets).values.any()
+                engine.observe(root, 1)
+                assert engine.evidence_probability() == 0
+                for targets in singles + pairs:
+                    assert not engine.query_joint(targets).values.any()
+                    assert not engine.query_conditional(targets).values.any()
 
 
 def test_a_finding_in_one_of_many_components_costs_log_components():
@@ -788,6 +910,24 @@ def test_a_what_if_keeps_the_work_done_before_it(asia_engine):
     fresh.observe("S", 0)
     fresh.observe("B", 1)
     assert np.array_equal(fresh.query_conditional(["X"]).values, posterior.values)
+
+
+def test_a_what_if_puts_the_clique_marginals_back(asia_engine):
+    # the what-if weighs B's answer by marginals of its own evidence; the
+    # marginals of the standing evidence are kept and read again after it
+    asia_engine.observe("S", 0)
+    asia_engine.query_conditional(["X"])
+    kept = dict(asia_engine._marginals)
+    assert kept
+    d_yes = asia_engine.bn.state_index("D", "yes")
+    asia_engine.query_conditional(["B"], transient_evidence=[("D", d_yes)])
+    assert asia_engine._marginals == kept
+    fresh = QueryEngine(asia_engine.bn, elimination_order=bnquery.ASIA_GOLDEN_ORDER)
+    fresh.observe("S", 0)
+    for name in asia_engine.bn.names:
+        if name != "S":
+            got = asia_engine.query_conditional([name])
+            assert np.array_equal(got.values, fresh.query_conditional([name]).values)
 
 
 @pytest.mark.parametrize("undo", ["failed what-if", "observe then retract", "re-observe"])

@@ -5,20 +5,20 @@ import pytest
 
 import bnquery
 from bnquery import (
+    QueryEngine,
     assign_cpts,
     compile_network,
     compute_potentials,
-    distribute_marginals,
     dump_network,
     enumerate_joint,
     max_deviation,
     multiply,
-    node_marginals,
     normalize_conditional,
     preprocess,
     sum_out,
     unit_factor,
 )
+from bnquery.preprocess import distribute_marginals
 from corpus import random_forest, random_network, structure_network, windowed_parents
 from reference import ref_collect, ref_compute_potentials, ref_sliced
 
@@ -211,11 +211,9 @@ def test_deterministic_network_gives_point_masses():
             "b": bnquery.Factor([vs["a"], vs["b"]], [0.0, 1.0, 1.0, 0.0]),
         },
     )
-    tree = compile_network(bn)
-    prep = preprocess(bn, tree)
-    marginals = node_marginals(bn, tree, clique_marginals(tree, prep))
-    assert list(marginals["a"].flat) == [1.0, 0.0]
-    assert list(marginals["b"].flat) == [0.0, 1.0]
+    engine = QueryEngine(bn)
+    assert list(engine.query_conditional(["a"]).flat) == [1.0, 0.0]
+    assert list(engine.query_conditional(["b"]).flat) == [0.0, 1.0]
 
 
 def test_uniform_independent_bits():
@@ -228,22 +226,20 @@ def test_uniform_independent_bits():
             "b": bnquery.Factor([vs["b"]], [0.5, 0.5]),
         },
     )
-    tree = compile_network(bn)
-    prep = preprocess(bn, tree)
-    marginals = node_marginals(bn, tree, clique_marginals(tree, prep))
+    engine = QueryEngine(bn)
     for name in "ab":
-        assert list(marginals[name].flat) == [0.5, 0.5]
+        assert list(engine.query_conditional([name]).flat) == [0.5, 0.5]
 
 
 def test_node_marginals_match_oracle_eight_vars():
-    bn, tree = build(99, n=8)
-    prep = preprocess(bn, tree)
-    marginals = node_marginals(bn, tree, clique_marginals(tree, prep))
+    bn, _tree = build(99, n=8)
+    engine = QueryEngine(bn)
     joint = enumerate_joint(bn)
     for name in bn.names:
+        got = engine.query_conditional([name])
         expected = sum_out(joint, set(bn.names) - {name})
-        assert max_deviation(marginals[name], expected) <= 1e-9
-        assert marginals[name].total() == pytest.approx(1.0, abs=1e-9)
+        assert max_deviation(got, expected) <= 1e-9
+        assert got.total() == pytest.approx(1.0, abs=1e-9)
 
 
 # -- global invariants ---------------------------------------------------------------
